@@ -56,6 +56,7 @@ from .strategy import (
 )
 from .values import (
     ConvergenceError,
+    EdgeList,
     FanSolution,
     GameSolution,
     PropagationMatrix,

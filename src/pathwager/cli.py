@@ -14,18 +14,17 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
-from .graph import GameGraph, GraphError, GraphKind, classify, parse_graph, serialize_graph, to_dot
+from .graph import GameGraph, GraphError, GraphKind, parse_graph, serialize_graph, to_dot
 from .markov import analyze
 from .oracle import OracleBuildError, parse_oracle_spec
-from .simulate import SimulationConfig, StepRng, run
+from .simulate import SimulationConfig, StepRng, _multipliers, _pick, run
 from .strategy import StrategyError, build_profile
-from .values import ConvergenceError, UnsupportedGraphError, solve, truncated_values
+from .values import ConvergenceError, UnsupportedGraphError, _truncation_series, solve
 from .verify import certify_graph
 
 SEED_ENV_VAR = "PATHWAGER_SEED"
@@ -38,9 +37,6 @@ class RunManifest:
     input_digests: dict
     version: str = __version__
     seed: int | None = None
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()
-    )
 
 
 def _digest(path: str) -> str:
@@ -86,8 +82,11 @@ def _manifest(args, subcommand: str, extra: dict | None = None) -> RunManifest:
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, default=_jsonable)
-    if getattr(args, "out", None):
+    _write(json.dumps(report, indent=2, default=_jsonable), args)
+
+
+def _write(text: str, args) -> None:
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -114,7 +113,7 @@ def _cmd_solve(args) -> int:
     solution = solve(graph, exact=args.exact)
     report = solution.to_dict()
     if args.truncate is not None:
-        series = truncated_values(graph, args.truncate)
+        series = _truncation_series(solution, args.truncate)
         report["residuals"] = series.residuals.tolist()
     report["manifest"] = asdict(_manifest(args, "solve"))
     _emit(report, args)
@@ -141,12 +140,7 @@ def _cmd_analyze(args) -> int:
         lines = ["t," + ",".join(graph.labels[i] for i in graph.nonterminals)]
         for t, row in enumerate(report_obj.stopping.stop_dist, start=1):
             lines.append(f"{t}," + ",".join(_fmt(x) for x in row))
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write("\n".join(lines), args)
         return 0
     report = report_obj.to_dict(graph)
     report["manifest"] = asdict(_manifest(args, "analyze"))
@@ -160,10 +154,9 @@ def _cmd_simulate(args) -> int:
     profile = build_profile(solution, graph, beta=args.beta)
     seed = _resolve_seed(args)
     start = graph.index_of(args.start) if args.start else graph.nonterminals[0]
-    kind = classify(graph).kind
     discount = None
     horizon = args.horizon
-    if kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
+    if solution.graph_class.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
         discount = solution.spectral.discount
         if horizon is None:
             horizon = 100  # exact horizon; every replication runs this long
@@ -194,12 +187,7 @@ def _cmd_simulate(args) -> int:
                     ]
                 )
             )
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write("\n".join(lines), args)
         return 0
     report = {
         "summary": result.summary(),
@@ -214,12 +202,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_generate(args) -> int:
     spec = parse_oracle_spec(args.oracle)
     graph = spec.build()
-    text = serialize_graph(graph)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(serialize_graph(graph), args)
     return 0
 
 
@@ -242,12 +225,7 @@ def _cmd_export_dot(args) -> int:
     if args.beta is not None:
         solution = solve(graph)
         profile = build_profile(solution, graph, beta=args.beta)
-    text = to_dot(graph, profile)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(to_dot(graph, profile), args)
     return 0
 
 
@@ -301,7 +279,6 @@ def play_repl(
         if max_rounds is not None and len(rounds) >= max_rounds:
             break
         succ = graph.successors[node]
-        n = len(succ)
         names = [graph.labels[j] for j in succ]
         say(f"\nnode {graph.labels[node]!r}: moves {names}, fortune {_fmt(fortune)}")
 
@@ -311,14 +288,12 @@ def play_repl(
                 wager = _ask_wager(ask, say)
                 guess = _ask_move(ask, say, graph, succ, "your guess: ")
                 say(f"wager announced: {_fmt(wager)}")
-                cdf = np.cumsum(profile.chooser[node])
-                choice = succ[min(int(np.searchsorted(cdf, u_choice, side="right")), n - 1)]
+                choice = succ[_pick(profile.chooser[node], u_choice)]
                 say(f"chooser moves to {graph.labels[choice]!r}")
             else:
                 wager = profile.wagers[node]
                 say(f"guesser announces wager {_fmt(wager)} (guess is written down)")
-                cdf = np.cumsum(profile.guesser[node])
-                guess = succ[min(int(np.searchsorted(cdf, u_guess, side="right")), n - 1)]
+                guess = succ[_pick(profile.guesser[node], u_guess)]
                 choice = _ask_move(ask, say, graph, succ, "your move: ")
                 say(f"guesser's committed guess was {graph.labels[guess]!r}")
         except _QuitSession:
@@ -326,10 +301,8 @@ def play_repl(
             break
 
         correct = guess == choice
-        if correct:
-            mult = 1.0 + (n - 1) * wager if n >= 2 else 1.0 + wager
-        else:
-            mult = 1.0 - wager
+        win, lose = _multipliers(len(succ), wager)
+        mult = win if correct else lose
         fortune *= mult
         say(f"guess {'correct' if correct else 'incorrect'}: fortune x {_fmt(mult)} -> {_fmt(fortune)}")
         rounds.append(
@@ -419,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute node values")
     common(p)
-    p.add_argument("--exact", action="store_true", help="rational arithmetic (fans/trees)")
+    p.add_argument("--exact", action="store_true", help="rational arithmetic (acyclic graphs)")
     p.add_argument("--truncate", type=int, default=None, metavar="S",
                    help="also report depth-limited value residuals up to S steps")
     p.set_defaults(func=_cmd_solve)

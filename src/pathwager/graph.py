@@ -8,12 +8,14 @@ semantics come from player strategies, so edges are unweighted.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -108,8 +110,14 @@ class GameGraph:
             for j in succ:
                 yield (i, j)
 
-    def predecessors(self, j: int) -> tuple[int, ...]:
-        return tuple(i for i in range(self.num_nodes) if j in self.successors[i])
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Strongly connected components, sinks first (the value solve's order); cached."""
+        return _strong_components(self.successors)
+
+    def is_cyclic(self, component: Sequence[int]) -> bool:
+        """True when a component carries a cycle: two or more nodes, or a self-loop."""
+        return len(component) > 1 or component[0] in self.successors[component[0]]
 
     # -- serialization ---------------------------------------------------
 
@@ -118,10 +126,7 @@ class GameGraph:
         values: dict[str, object] = {}
         for i in sorted(self.values):
             if self.exact_values is not None:
-                frac = self.exact_values[i]
-                values[self.labels[i]] = (
-                    int(frac) if frac.denominator == 1 else [frac.numerator, frac.denominator]
-                )
+                values[self.labels[i]] = rational_json(self.exact_values[i])
             else:
                 values[self.labels[i]] = self.values[i]
         doc: dict = {"nodes": list(self.labels), "edges": edges, "values": values}
@@ -130,6 +135,11 @@ class GameGraph:
                 self.edge_labels.get((i, j)) for i, j in self.edges()
             ]
         return doc
+
+
+def rational_json(frac: Fraction):
+    """JSON form of an exact value: an integer, or a [numerator, denominator] pair."""
+    return int(frac) if frac.denominator == 1 else [frac.numerator, frac.denominator]
 
 
 def build_graph(
@@ -288,41 +298,46 @@ def serialize_graph(g: GameGraph, indent: int = 2) -> str:
 # -- classification ------------------------------------------------------
 
 
-def _reverse_reachable(g: GameGraph, sources: Iterable[int]) -> set[int]:
-    preds: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for i, j in g.edges():
-        preds[j].append(i)
-    seen = set(sources)
-    queue = deque(seen)
-    while queue:
-        j = queue.popleft()
-        for i in preds[j]:
-            if i not in seen:
-                seen.add(i)
-                queue.append(i)
-    return seen
+def _strong_components(successors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Strongly connected components, sinks first (iterative Tarjan, O(N + E)).
 
-
-def _forward_reachable(g: GameGraph, source: int) -> set[int]:
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        i = queue.popleft()
-        for j in g.successors[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return seen
-
-
-def is_strongly_connected(g: GameGraph) -> bool:
-    if g.num_nodes == 1:
-        # A single node is strongly connected; play requires its self-loop,
-        # but that is the terminal/value validation's concern.
-        return True
-    if len(_forward_reachable(g, 0)) != g.num_nodes:
-        return False
-    return len(_reverse_reachable(g, [0])) == g.num_nodes
+    Tarjan's algorithm closes a component only after every component it
+    reaches, so each component's successors lie in earlier components.
+    """
+    n = len(successors)
+    index, low = [-1] * n, [0] * n
+    counter = itertools.count()
+    stack: list[int] = []
+    components: list[tuple[int, ...]] = []
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work: list = [(root, None)]
+        while work:
+            v, children = work[-1]
+            if children is None:
+                index[v] = low[v] = next(counter)
+                stack.append(v)
+                children = iter(successors[v])
+                work[-1] = (v, children)
+            for w in children:
+                if index[w] < 0:
+                    work.append((w, None))
+                    break
+                low[v] = min(low[v], index[w])  # a node in a closed component has index n
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    for w in members:
+                        index[w] = n
+                    components.append(tuple(sorted(members)))
+    return tuple(components)
 
 
 def aperiodicity_gcd(g: GameGraph) -> int:
@@ -334,7 +349,7 @@ def aperiodicity_gcd(g: GameGraph) -> int:
     """
     if g.terminals:
         raise GraphError("aperiodicity is defined for graphs without terminal nodes")
-    if not is_strongly_connected(g):
+    if len(g.components) != 1:
         raise GraphError("aperiodicity requires a strongly connected graph")
     level = {0: 0}
     queue = deque([0])
@@ -350,42 +365,35 @@ def aperiodicity_gcd(g: GameGraph) -> int:
     return gcd
 
 
-def _tree_root(g: GameGraph) -> Optional[int]:
-    """Root index if the graph is a rooted tree with a non-terminal root."""
-    indeg = [0] * g.num_nodes
-    for _, j in g.edges():
-        indeg[j] += 1
-    roots = [i for i in range(g.num_nodes) if indeg[i] == 0]
-    if len(roots) != 1:
-        return None
-    root = roots[0]
-    if g.is_terminal(root):
-        return None
-    if any(indeg[i] != 1 for i in range(g.num_nodes) if i != root):
-        return None
-    # in-degree profile admits a disjoint cycle; demand reachability from root
-    if len(_forward_reachable(g, root)) != g.num_nodes:
-        return None
-    return root
-
-
 def classify(g: GameGraph) -> GraphClass:
-    """Most specific structural class, or UNSUPPORTED with a reason."""
+    """Most specific structural class, or UNSUPPORTED with a reason, from ``g.components``."""
+    components = g.components
     if g.terminals:
-        reached = _reverse_reachable(g, g.terminals)
-        if len(reached) != g.num_nodes:
-            stuck = next(i for i in range(g.num_nodes) if i not in reached)
+        reaches = [False] * g.num_nodes   # node can reach a terminal
+        for comp in components:           # sinks first: successors are settled
+            hit = any(reaches[j] for i in comp for j in g.successors[i])
+            for i in comp:
+                reaches[i] = hit or g.is_terminal(i)
+        if not all(reaches):
+            stuck = reaches.index(False)
             return GraphClass(
                 GraphKind.UNSUPPORTED,
                 f"node {g.labels[stuck]!r} cannot reach any terminal node",
             )
-        root = _tree_root(g)
-        if root is not None:
+        # acyclic, with N - 1 edges into N - 1 distinct nodes: a tree rooted
+        # at the one node nothing enters, a source of the condensation
+        root = components[-1][0]
+        targets = {j for succ in g.successors for j in succ}
+        if (
+            not g.is_terminal(root)
+            and len(targets) == sum(map(len, g.successors)) == g.num_nodes - 1
+            and not any(map(g.is_cyclic, components))
+        ):
             if all(g.is_terminal(j) for j in g.successors[root]):
                 return GraphClass(GraphKind.FAN)
             return GraphClass(GraphKind.TREE)
         return GraphClass(GraphKind.TERMINATING)
-    if not is_strongly_connected(g):
+    if len(components) != 1:
         return GraphClass(
             GraphKind.UNSUPPORTED,
             "no terminal nodes and the graph is not strongly connected",

@@ -24,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .graph import GameGraph, GraphKind
-from .strategy import chooser_transition_matrix
 from .values import GameSolution, UnsupportedGraphError, build_propagation_matrix
 
 _VALUE_FAIR_TOL = 1e-10
@@ -55,7 +54,6 @@ class SteadyStateFortunes:
 
 @dataclass
 class MarkovReport:
-    transition: np.ndarray
     fairness: FairnessVerdict
     stopping: Optional[StoppingStats] = None
     invariant: Optional[np.ndarray] = None
@@ -171,15 +169,16 @@ def invariant_measure(solution: GameSolution) -> np.ndarray:
     """Stationary distribution of the position walk on a strongly connected graph.
 
     mu_i = x_i y_i / (x . y) for the Perron eigenvectors x, y of the
-    propagation matrix; stationarity P^T mu = mu is verified before return.
+    propagation matrix; stationarity P^T mu = diag(u) M^T (v mu) / r = mu is
+    verified before return.
     """
     if solution.spectral is None:
         raise UnsupportedGraphError("invariant measure requires a strongly connected graph")
     x, y = solution.spectral.right_vec, solution.spectral.left_vec
     mu = x * y / (x @ y)
     mu = mu / mu.sum()
-    p = chooser_transition_matrix(solution, solution.graph)
-    drift = float(np.abs(p.T @ mu - mu).max())
+    flow = solution.reciprocals * solution.edges.rmatvec(solution.values * mu)
+    drift = float(np.abs(flow / solution.spectral.radius - mu).max())
     if drift > _STATIONARY_TOL:
         raise RuntimeError(f"invariant measure fails stationarity check: drift {drift:.3e}")
     return mu
@@ -218,9 +217,8 @@ def steady_state_fortunes(solution: GameSolution, simulation=None) -> SteadyStat
 def analyze(solution: GameSolution, t_max: int = 500, simulation=None) -> MarkovReport:
     """Full dynamics report for a solved graph."""
     graph = solution.graph
-    p = chooser_transition_matrix(solution, graph)
     fairness = fairness_check(solution, graph)
-    report = MarkovReport(transition=p, fairness=fairness, t_max=t_max)
+    report = MarkovReport(fairness=fairness, t_max=t_max)
     if solution.graph_class.is_terminating:
         if graph.nonterminals:
             report.stopping = stopping_analysis(solution, graph, t_max)

@@ -191,13 +191,8 @@ def play_step(
     u_guess, u_choice = rng.next_pair()
     guess = succ[_pick(profile.guesser[node], u_guess)]
     choice = succ[_pick(profile.chooser[node], u_choice)]
-    n = len(succ)
-    w = profile.wagers[node]
-    if guess == choice:
-        mult = 1.0 + (n - 1) * w if n >= 2 else 1.0 + w
-    else:
-        mult = 1.0 - w
-    fortune *= mult
+    win, lose = _multipliers(len(succ), profile.wagers[node])
+    fortune *= win if guess == choice else lose
     if graph.is_terminal(choice):
         fortune *= graph.values[choice]
     return choice, fortune
@@ -208,11 +203,20 @@ def _pick(probs: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
 
 
+def _multipliers(n: int, w: float) -> tuple[float, float]:
+    """Fortune multipliers (correct guess, incorrect guess) at out-degree n, wager w.
+
+    A correct guess pays (n - 1) w, or w on a forced move; a wrong one loses w.
+    """
+    return 1.0 + max(n - 1, 1) * w, 1.0 - w
+
+
 def run(config: SimulationConfig) -> SimulationResult:
     """Run all replications; deterministic given (seed, config)."""
-    kind = classify(config.graph).kind
+    cls = classify(config.graph)
+    kind = cls.kind
     if kind is GraphKind.UNSUPPORTED:
-        raise UnsupportedGraphError(classify(config.graph).reason)
+        raise UnsupportedGraphError(cls.reason)
     if kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
         if config.discount is None:
             raise ValueError(
@@ -227,15 +231,11 @@ def _node_tables(graph: GameGraph, profile: StrategyProfile):
     tables = {}
     for i in graph.nonterminals:
         succ = np.array(graph.successors[i])
-        n = len(succ)
-        w = profile.wagers[i]
-        win = 1.0 + (n - 1) * w if n >= 2 else 1.0 + w
         tables[i] = (
             succ,
             np.cumsum(profile.guesser[i]),
             np.cumsum(profile.chooser[i]),
-            win,
-            1.0 - w,
+            *_multipliers(len(succ), profile.wagers[i]),
         )
     return tables
 
@@ -409,9 +409,8 @@ def exploit_search(
             if fixed_side == "guesser":
                 # chooser picks the successor minimizing her expected fortune
                 g = profile.guesser[i]
-                w = profile.wagers[i]
-                win = 1.0 + (n - 1) * w if n >= 2 else 1.0 + w
-                per_move = (g * win + (1.0 - g) * (1.0 - w)) * cont
+                win, lose = _multipliers(n, profile.wagers[i])
+                per_move = (g * win + (1.0 - g) * lose) * cont
                 k = int(np.argmin(per_move))
                 new[i] = per_move[k]
                 best_action[i] = succ[k]

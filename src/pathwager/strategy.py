@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GameGraph
-from .values import GameSolution
+from .values import GameSolution, build_propagation_matrix
 
 _PROB_TOL = 1e-12
 _WAGER_ZERO_TOL = 1e-12
@@ -82,8 +82,10 @@ def build_profile(solution: GameSolution, graph: GameGraph, beta: float = 1.0) -
         pmin = float(p.min())
         w = 1.0 - n * beta * pmin
         if w > _WAGER_ZERO_TOL:
-            g = (p - beta * pmin) / w
-            g = _clamped(g, f"node {graph.labels[i]!r}")
+            # the entries are >= 0 and sum to w in exact arithmetic; dividing
+            # by their own sum stays in range when w is tiny and inexact
+            g = p - beta * pmin
+            g = _clamped(g / g.sum(), f"node {graph.labels[i]!r}")
         else:
             # numerically zero wager: any guess is payoff-irrelevant, pick
             # uniform (beta = 1 with a uniform chooser row lands here)
@@ -119,8 +121,6 @@ def chooser_transition_matrix(solution: GameSolution, graph: GameGraph) -> np.nd
     (P_kk = 1).  On strongly connected graphs the similarity is scaled by
     1/r so P is row-stochastic.
     """
-    from .values import build_propagation_matrix
-
     if solution.graph != graph:
         raise StrategyError("solution does not belong to this graph")
     m = build_propagation_matrix(graph).matrix

@@ -7,11 +7,12 @@ reciprocal values u_i = 1/v_i, which propagate linearly:
     u_i = u_j / 2                      out-degree 1, edge i -> j
     u_i = (1/n_i) * sum_{j: i->j} u_j  out-degree n_i >= 2
 
-Terminating graphs pin u at the terminal nodes and the interior solves a
-dense linear system; strongly connected aperiodic graphs have no terminals
-and the reciprocal values are the Perron eigenvector of the propagation
-matrix, with the maximal eigenvalue doubling as the optimal per-step
-discount factor.
+Each solve holds the rule once, as an edge list.  Terminating graphs pin u
+at the terminal nodes and back-substitute over the strongly connected
+components, sinks first, solving a small linear system only on cyclic
+components; strongly connected aperiodic graphs have no terminals and the
+reciprocal values are the Perron eigenvector of the propagation operator,
+with the maximal eigenvalue doubling as the optimal per-step discount factor.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graph import GameGraph, GraphClass, GraphKind, classify
+from .graph import GameGraph, GraphClass, GraphKind, classify, rational_json
 
 _EIGENVALUE_RTOL = 1e-13   # successive Rayleigh-quotient estimates
 _EIGENVECTOR_TOL = 1e-12   # successive iterates, 1-norm
@@ -42,6 +43,39 @@ class ConvergenceError(RuntimeError):
 class FanSolution(NamedTuple):
     root_value: object          # float, or Fraction in exact mode
     chooser_probs: tuple
+
+
+@dataclass(frozen=True)
+class EdgeList:
+    """Propagation operator M as edges src[k] -> dst[k] of weight M[src[k], dst[k]].
+
+    Edges are grouped by source in node order; every terminal node gets a
+    self-loop of weight 1 in place of its empty successor list.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    size: int
+
+    @classmethod
+    def of(cls, graph: GameGraph) -> EdgeList:
+        n = graph.num_nodes
+        rows = [succ or (i,) for i, succ in enumerate(graph.successors)]
+        deg = np.array([len(succ) for succ in graph.successors])
+        counts = np.maximum(deg, 1)
+        src = np.repeat(np.arange(n), counts)
+        dst = np.fromiter((j for row in rows for j in row), dtype=np.int64, count=int(counts.sum()))
+        node_weight = np.where(deg == 1, 0.5, 1.0 / counts)
+        return cls(src=src, dst=dst, weight=node_weight[src], size=n)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """M x."""
+        return np.bincount(self.src, weights=self.weight * x[self.dst], minlength=self.size)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """M^T y."""
+        return np.bincount(self.dst, weights=self.weight * y[self.src], minlength=self.size)
 
 
 @dataclass
@@ -79,12 +113,13 @@ class SpectralData:
 
 @dataclass
 class GameSolution:
-    """Values and reciprocal values for every node of a solved graph."""
+    """Values and reciprocal values of a solved graph, with the operator used."""
 
     graph: GameGraph
     graph_class: GraphClass
     values: np.ndarray
     reciprocals: np.ndarray
+    edges: EdgeList
     spectral: Optional[SpectralData] = None
     exact_values: Optional[list[Fraction]] = None
 
@@ -97,14 +132,8 @@ class GameSolution:
         }
         for i, lab in enumerate(self.graph.labels):
             if self.exact_values is not None:
-                frac = self.exact_values[i]
-                doc["values"][lab] = (
-                    int(frac) if frac.denominator == 1 else [frac.numerator, frac.denominator]
-                )
-                inv = 1 / frac
-                doc["reciprocal_values"][lab] = (
-                    int(inv) if inv.denominator == 1 else [inv.numerator, inv.denominator]
-                )
+                doc["values"][lab] = rational_json(self.exact_values[i])
+                doc["reciprocal_values"][lab] = rational_json(1 / self.exact_values[i])
             else:
                 doc["values"][lab] = float(self.values[i])
                 doc["reciprocal_values"][lab] = float(self.reciprocals[i])
@@ -145,134 +174,123 @@ def solve_fan(leaf_values: Sequence, exact: bool = False) -> FanSolution:
     if any(v <= 0 for v in vals):
         raise ValueError("leaf values must be strictly positive")
     if len(vals) == 1:
-        return FanSolution(2 * vals[0], (_one(exact),))
+        return FanSolution(2 * vals[0], (Fraction(1) if exact else 1.0,))
     recips = [1 / v for v in vals]
     total = sum(recips)
-    root = len(vals) / total
-    probs = tuple(r / total for r in recips)
-    return FanSolution(root, probs)
-
-
-def _one(exact: bool):
-    return Fraction(1) if exact else 1.0
+    return FanSolution(len(vals) / total, tuple(r / total for r in recips))
 
 
 def build_propagation_matrix(graph: GameGraph) -> PropagationMatrix:
-    """Propagation matrix of a supported graph (terminal self-loops added here)."""
+    """Dense propagation matrix of a supported graph (terminal self-loops added here)."""
     cls = classify(graph)
     if cls.kind is GraphKind.UNSUPPORTED:
         raise UnsupportedGraphError(cls.reason)
-    n = graph.num_nodes
-    m = np.zeros((n, n))
-    for i in range(n):
-        deg = graph.out_degree(i)
-        if deg == 0:
-            m[i, i] = 1.0
-        elif deg == 1:
-            m[i, graph.successors[i][0]] = 0.5
-        else:
-            for j in graph.successors[i]:
-                m[i, j] = 1.0 / deg
+    edges = EdgeList.of(graph)
+    m = np.zeros((graph.num_nodes, graph.num_nodes))
+    m[edges.src, edges.dst] = edges.weight
     return PropagationMatrix(matrix=m, nt=graph.nonterminals, t=graph.terminals)
 
 
 def solve_tree(graph: GameGraph, exact: bool = False) -> GameSolution:
-    """Bottom-up value recursion for fans and trees.
-
-    In exact mode all arithmetic is rational; this requires the graph's
-    terminal values to have been given exactly.
-    """
+    """Values of a fan or tree; see ``solve_terminating``."""
     cls = classify(graph)
     if not cls.is_tree:
         raise UnsupportedGraphError(f"solve_tree requires a fan or tree, got {cls}")
-    if exact and graph.exact_values is None:
-        raise UnsupportedGraphError("exact mode requires exact (rational) terminal values")
-
-    u: list = [None] * graph.num_nodes
-    for i in graph.terminals:
-        u[i] = 1 / graph.exact_values[i] if exact else 1.0 / graph.values[i]
-
-    # children before parents: reversed BFS order from the root
-    order: list[int] = []
-    root = next(i for i in graph.nonterminals if not graph.predecessors(i))
-    queue = [root]
-    seen = {root}
-    while queue:
-        i = queue.pop(0)
-        order.append(i)
-        for j in graph.successors[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    for i in reversed(order):
-        if graph.is_terminal(i):
-            continue
-        succ = graph.successors[i]
-        if len(succ) == 1:
-            u[i] = u[succ[0]] / 2
-        else:
-            total = sum(u[j] for j in succ)
-            u[i] = total / len(succ)
-
-    if exact:
-        exact_vals = [Fraction(1) / ui for ui in u]
-        values = np.array([float(v) for v in exact_vals])
-        recips = np.array([float(ui) for ui in u])
-        return GameSolution(graph, cls, values, recips, exact_values=exact_vals)
-    recips = np.array(u, dtype=float)
-    return GameSolution(graph, cls, 1.0 / recips, recips)
+    return _solve_by_components(graph, cls, exact)
 
 
-def solve_terminating(graph: GameGraph) -> GameSolution:
-    """Limiting values on a terminating graph via the absorbing linear system.
+def solve_terminating(graph: GameGraph, exact: bool = False) -> GameSolution:
+    """Limiting values on a terminating graph by back-substitution.
 
-    Solves (I - A) u_nt = B u_t with a dense partial-pivoting factorization;
-    no matrix inverse is formed.
+    Components are visited sinks first.  A node on no cycle takes the rule
+    directly; a cyclic component solves (I - A_cc) u_c = A_c,out u_out densely.
+    Exact mode keeps the arithmetic rational; it needs an acyclic graph with
+    exact terminal values.
     """
     cls = classify(graph)
     if not cls.is_terminating:
         raise UnsupportedGraphError(f"solve_terminating requires a terminating graph, got {cls}")
-    prop = build_propagation_matrix(graph)
-    nt, t = prop.nt, prop.t
-    u = np.zeros(graph.num_nodes)
-    for i in t:
-        u[i] = 1.0 / graph.values[i]
-    if nt:
-        a, b = prop.A, prop.B
-        try:
-            u_nt = np.linalg.solve(np.eye(len(nt)) - a, b @ u[list(t)])
-        except np.linalg.LinAlgError as exc:  # impossible for valid input
-            raise ConvergenceError(
-                f"singular system while solving terminating graph: {exc}"
-            ) from exc
-        u[list(nt)] = u_nt
-    if np.any(u <= 0):
+    return _solve_by_components(graph, cls, exact)
+
+
+def _solve_by_components(graph: GameGraph, cls: GraphClass, exact: bool) -> GameSolution:
+    if exact:
+        if graph.exact_values is None:
+            raise UnsupportedGraphError("exact mode requires exact (rational) terminal values")
+        if any(map(graph.is_cyclic, graph.components)):
+            raise UnsupportedGraphError("exact mode requires an acyclic graph")
+    u: list = [None] * graph.num_nodes
+    for comp in graph.components:
+        if graph.is_cyclic(comp):
+            _solve_cyclic_component(graph, comp, u)
+            continue
+        (i,) = comp
+        succ = graph.successors[i]
+        if not succ:
+            u[i] = 1 / graph.exact_values[i] if exact else 1.0 / graph.values[i]
+        elif len(succ) == 1:
+            u[i] = u[succ[0]] / 2
+        else:
+            u[i] = sum(u[j] for j in succ) / len(succ)
+
+    edges = EdgeList.of(graph)
+    if exact:
+        exact_vals = [Fraction(1) / ui for ui in u]
+        values = np.array([float(v) for v in exact_vals])
+        recips = np.array([float(ui) for ui in u])
+        return GameSolution(graph, cls, values, recips, edges, exact_values=exact_vals)
+    recips = np.array(u, dtype=float)
+    if np.any(recips <= 0):
         raise ConvergenceError("computed reciprocal values are not strictly positive")
-    return GameSolution(graph, cls, 1.0 / u, u)
+    return GameSolution(graph, cls, 1.0 / recips, recips, edges)
 
 
-def _power_iteration(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron pair of a primitive nonnegative matrix.
+def _solve_cyclic_component(graph: GameGraph, comp: Sequence[int], u: list) -> None:
+    """Fill u on one cyclic component from its already-solved successors."""
+    pos = {i: k for k, i in enumerate(comp)}
+    system = np.eye(len(comp))
+    rhs = np.zeros(len(comp))
+    for k, i in enumerate(comp):
+        succ = graph.successors[i]
+        weight = 0.5 if len(succ) == 1 else 1.0 / len(succ)
+        for j in succ:
+            if j in pos:
+                system[k, pos[j]] -= weight
+            else:
+                rhs[k] += weight * u[j]
+    try:
+        block = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:  # impossible for valid input
+        raise ConvergenceError(
+            f"singular system while solving terminating graph: {exc}"
+        ) from exc
+    for i, value in zip(comp, block.tolist()):
+        u[i] = value
+
+
+def _power_iteration(product, n: int) -> tuple[float, np.ndarray]:
+    """Perron pair of a primitive nonnegative operator given by its product.
 
     Deterministic all-ones start, 1-norm normalization.  Converged when the
     Rayleigh quotient is stable to 1e-13 (relative), the iterate is stable
     to 1e-12 (1-norm), and the eigen-residual is at the rounding floor
     (below 1e-14, or no longer improving).  Returns the best iterate seen.
+    Each step's one product serves the Rayleigh quotient, residual and next iterate.
     """
-    n = mat.shape[0]
     x = np.ones(n) / n
-    r = float(x @ (mat @ x) / (x @ x))
+    y = product(x)
+    r = float(x @ y / (x @ x))
     best = (np.inf, r, x)
     since_improvement = 0
     for _ in range(_MAX_POWER_ITERATIONS):
-        y = mat @ x
         norm = float(np.abs(y).sum())
         if norm == 0.0:
             raise ConvergenceError("power iteration collapsed to zero")
         x_new = y / norm
-        r_new = float(x_new @ (mat @ x_new) / (x_new @ x_new))
+        y = product(x_new)
+        r_new = float(x_new @ y / (x_new @ x_new))
         drift = float(np.abs(x_new - x).sum())
-        residual = float(np.abs(mat @ x_new - r_new * x_new).max())
+        residual = float(np.abs(y - r_new * x_new).max())
         x, r_prev, r = x_new, r, r_new
         if residual < best[0]:
             best = (residual, r, x)
@@ -306,15 +324,15 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
         raise UnsupportedGraphError(
             f"solve_strongly_connected requires a strongly connected aperiodic graph, got {cls}"
         )
-    m = build_propagation_matrix(graph).matrix
-    r, x = _power_iteration(m)
-    r_left, y = _power_iteration(m.T)
+    edges = EdgeList.of(graph)
+    r, x = _power_iteration(edges.matvec, graph.num_nodes)
+    r_left, y = _power_iteration(edges.rmatvec, graph.num_nodes)
     radius = 0.5 * (r + r_left)
     u = x * (y.sum() / (x @ y))
     if np.any(u <= 0) or np.any(x <= 0) or np.any(y <= 0):
         raise ConvergenceError("Perron vectors are not strictly positive")
     spectral = SpectralData(radius=radius, right_vec=x, left_vec=y, discount=radius)
-    return GameSolution(graph, cls, 1.0 / u, u, spectral=spectral)
+    return GameSolution(graph, cls, 1.0 / u, u, edges, spectral=spectral)
 
 
 def solve(graph: GameGraph, exact: bool = False) -> GameSolution:
@@ -322,11 +340,11 @@ def solve(graph: GameGraph, exact: bool = False) -> GameSolution:
     cls = classify(graph)
     if cls.is_tree:
         return solve_tree(graph, exact=exact)
-    if exact:
-        raise UnsupportedGraphError("exact mode is supported for fans and trees only")
     if cls.kind is GraphKind.TERMINATING:
-        return solve_terminating(graph)
+        return solve_terminating(graph, exact=exact)
     if cls.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
+        if exact:
+            raise UnsupportedGraphError("exact mode is supported for acyclic graphs only")
         return solve_strongly_connected(graph)
     raise UnsupportedGraphError(cls.reason)
 
@@ -338,23 +356,22 @@ def truncated_values(graph: GameGraph, steps: int) -> TruncationSeries:
     non-terminal nodes, pre-assigned reciprocals on terminals); strongly
     connected graphs iterate the discount-scaled form (1/r) M from all-ones.
     """
+    return _truncation_series(solve(graph), steps)
+
+
+def _truncation_series(solution: GameSolution, steps: int) -> TruncationSeries:
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    solution = solve(graph)
-    m = build_propagation_matrix(graph).matrix
+    graph = solution.graph
     limit = solution.reciprocals
-    if solution.graph_class.is_terminating:
-        u = np.ones(graph.num_nodes)
-        for i in graph.terminals:
-            u[i] = 1.0 / graph.values[i]
-        scale = 1.0
-    else:
-        u = np.ones(graph.num_nodes)
-        scale = 1.0 / solution.spectral.radius
-    vectors = [u.copy()]
+    u = np.ones(graph.num_nodes)
+    for i in graph.terminals:
+        u[i] = 1.0 / graph.values[i]
+    scale = 1.0 if solution.spectral is None else 1.0 / solution.spectral.radius
+    vectors = [u]
     residuals = [float(np.abs(u - limit).max())]
     for _ in range(steps):
-        u = scale * (m @ u)
-        vectors.append(u.copy())
+        u = scale * solution.edges.matvec(u)  # a new array each step
+        vectors.append(u)
         residuals.append(float(np.abs(u - limit).max()))
     return TruncationSeries(steps=steps, vectors=vectors, residuals=np.array(residuals))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import GameGraph
+from .graph import GameGraph, GraphKind, classify
 from .strategy import StrategyProfile
 from .values import (
     GameSolution,
@@ -153,10 +153,7 @@ def brute_force_value(
     under-estimates, so the true value stays inside the bracket.  Starting
     anchors are rigid bounds: v_min(terminals) and N^N * v_max(terminals).
     """
-    from .graph import classify
-
-    cls = classify(graph)
-    if not cls.is_terminating:
+    if not classify(graph).is_terminating:
         raise UnsupportedGraphError("brute force bounds require a terminating graph")
     n_nodes = graph.num_nodes
     v_term = np.array([graph.values[k] for k in graph.terminals])
@@ -222,7 +219,11 @@ def audit_convergence(graph: GameGraph, steps: int = 400) -> Certificate:
     connected: r^{-s} M^s approaches the positive rank-one matrix
     x y^T / (x . y).
     """
-    solution = solve(graph)
+    return _audit(solve(graph), steps)
+
+
+def _audit(solution: GameSolution, steps: int) -> Certificate:
+    graph = solution.graph
     prop = build_propagation_matrix(graph)
     m = prop.matrix
     n = graph.num_nodes
@@ -292,13 +293,12 @@ def certify_graph(
     graphs) under each beta, and the backward-induction bracket on small
     graphs.
     """
-    from .graph import GraphKind
     from .simulate import exploit_search
 
     checks: list[CheckResult] = []
     max_c = max_g = 0.0
 
-    audit = audit_convergence(graph, steps=audit_steps)
+    audit = _audit(solution, audit_steps)
     checks.extend(audit.checks)
     residual = audit.residual
 
@@ -331,10 +331,8 @@ def certify_graph(
             )
     elif solution.graph_class.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
         # eigen-equation residual doubles as the optimality certificate here
-        m = build_propagation_matrix(graph).matrix
-        eig_res = float(
-            np.abs(m @ solution.reciprocals - solution.spectral.radius * solution.reciprocals).max()
-        )
+        u = solution.reciprocals
+        eig_res = float(np.abs(solution.edges.matvec(u) - solution.spectral.radius * u).max())
         checks.append(
             CheckResult(
                 "reciprocal_values_solve_eigen_equation",

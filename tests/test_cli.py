@@ -5,6 +5,11 @@ import json
 
 import pytest
 
+import pathwager.cli
+import pathwager.graph
+import pathwager.markov
+import pathwager.values
+import pathwager.verify
 from pathwager import build_graph, serialize_graph
 from pathwager.cli import dispatch, play_repl
 
@@ -133,6 +138,56 @@ def test_generate_patterns_file(tmp_path, capsys):
     assert abs(doc["r"] - 0.80901699437) < 1e-9
 
 
+def test_solve_exact_on_a_diamond_dag(tmp_path, capsys):
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps({
+        "nodes": ["s", "a", "b", "c", "t1", "t2"],
+        "edges": [["s", "a"], ["s", "b"], ["a", "c"], ["a", "t1"], ["b", "c"], ["c", "t2"]],
+        "values": {"t1": [1, 3], "t2": 5},
+    }))
+    code, doc = run_json(["solve", "--graph", str(path), "--exact"], capsys)
+    assert code == 0 and doc["class"] == "terminating"
+    assert doc["values"]["s"] == [5, 4] and doc["reciprocal_values"]["a"] == [31, 20]
+
+
+def _count_calls(monkeypatch, name, modules):
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["window:8,1", "window-stop:6"])
+def test_each_command_classifies_and_solves_once(spec, tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.json")
+    assert dispatch(["generate", "--oracle", spec, "--out", path]) == 0
+    terminating = spec.startswith("window-stop")
+    commands = {
+        ("solve",): 0,
+        ("solve", "--truncate", "5"): 0,
+        ("strategy",): 0,
+        ("simulate", "--reps", "50"): 0,
+        ("analyze",): int(terminating),   # stopping series only
+        ("verify",): 1,                   # the dense convergence audit
+    }
+    passes = _count_calls(monkeypatch, "_strong_components", [pathwager.graph])
+    solves = _count_calls(monkeypatch, "solve", [pathwager.cli, pathwager.values, pathwager.verify])
+    dense = _count_calls(monkeypatch, "build_propagation_matrix",
+                         [pathwager.values, pathwager.markov, pathwager.verify])
+    for command, dense_builds in commands.items():
+        for calls in (passes, solves, dense):
+            calls.clear()
+        assert dispatch([command[0], "--graph", path, *command[1:]]) == 0, command
+        capsys.readouterr()
+        assert (len(passes), len(solves), len(dense)) == (1, 1, dense_builds), command
+
+
 def test_verify_exit_codes(fan_path, tmp_path, capsys):
     assert dispatch(["verify", "--graph", fan_path]) == 0
     capsys.readouterr()
@@ -150,8 +205,6 @@ def test_export_dot(fan_path, capsys):
 def test_manifest_reproducibility(fan_path, capsys):
     _, a = run_json(["solve", "--graph", fan_path], capsys)
     _, b = run_json(["solve", "--graph", fan_path], capsys)
-    a["manifest"].pop("timestamp")
-    b["manifest"].pop("timestamp")
     assert a == b
 
 

@@ -1,8 +1,12 @@
 """Graph parsing, validation, classification, and DOT export."""
 
 import json
+from collections import deque
 
+import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 
 import support
 from pathwager import (
@@ -17,7 +21,6 @@ from pathwager import (
     solve,
     to_dot,
 )
-from pathwager.graph import _reverse_reachable
 
 
 MINIMAL_FAN = '{"nodes":["root","a","b"],"edges":[["root","a"],["root","b"]],"values":{"a":1,"b":1}}'
@@ -156,10 +159,52 @@ def test_aperiodicity_gcd_requires_strong_connectivity():
         aperiodicity_gcd(fan)
 
 
+def _reverse_reachable(g, sources):
+    preds = [[] for _ in range(g.num_nodes)]
+    for i, j in g.edges():
+        preds[j].append(i)
+    seen = set(sources)
+    queue = deque(seen)
+    while queue:
+        for i in preds[queue.popleft()]:
+            if i not in seen:
+                seen.add(i)
+                queue.append(i)
+    return seen
+
+
 def test_reverse_bfs_covers_terminating_graphs(terminating_corpus):
     for entry in terminating_corpus:
         g = entry.graph
         assert len(_reverse_reachable(g, g.terminals)) == g.num_nodes, entry.name
+        assert classify(g).is_terminating, entry.name
+
+
+def _random_digraphs(count, size=8, p=0.25):
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        labels = [str(i) for i in range(size)]
+        edges = [(a, b) for a in labels for b in labels if rng.random() < p]
+        heads = {a for a, _ in edges}
+        yield build_graph(labels, edges, {lab: 1 for lab in labels if lab not in heads})
+
+
+def test_components_match_scipy_strong_components(corpus):
+    # the corpus, plus random digraphs with several cyclic components
+    for name, g in [(e.name, e.graph) for e in corpus] + list(enumerate(_random_digraphs(50))):
+        edges = list(g.edges())
+        adj = scipy.sparse.csr_matrix(
+            (np.ones(len(edges)), ([i for i, _ in edges], [j for _, j in edges])),
+            shape=(g.num_nodes, g.num_nodes),
+        )
+        count, labels = scipy.sparse.csgraph.connected_components(adj, connection="strong")
+        ours = {frozenset(c) for c in g.components}
+        theirs = {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)}
+        assert ours == theirs, name
+        # sinks first: every edge stays in its component or leaves for an earlier one
+        rank = {i: k for k, comp in enumerate(g.components) for i in comp}
+        assert all(rank[j] <= rank[i] for i, j in edges), name
+
 
 
 def test_to_dot_plain_and_with_profile():

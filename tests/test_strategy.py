@@ -11,6 +11,7 @@ from pathwager import (
     StrategyProfile,
     build_graph,
     build_propagation_matrix,
+    build_stopping_variant,
     build_window_game,
     build_profile,
     chooser_transition_matrix,
@@ -96,6 +97,20 @@ def test_beta_one_excludes_least_likely(corpus):
                 continue
             argmins = np.nonzero(np.abs(p - p.min()) <= 1e-15)[0]
             assert np.all(profile.guesser[i][argmins] == 0.0), entry.name
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_min_risk_profile_with_tiny_wagers(n):
+    # smallest wagers about 9.5e-7 (n = 20) and 9.3e-10 (n = 30)
+    g = build_stopping_variant(n)
+    profile = build_profile(solve(g), g, beta=1.0)
+    assert 0.0 < min(w for w in profile.wagers.values()) < 1e-6
+    for i in g.nonterminals:
+        p, guess, w = profile.chooser[i], profile.guesser[i], profile.wagers[i]
+        assert np.all(guess >= 0.0) and abs(guess.sum() - 1.0) <= 1e-12
+        if len(p) > 1:
+            # defining identity of the family: w (n g - 1) = n p - 1
+            assert np.abs(w * (len(p) * guess - 1) - (len(p) * p - 1)).max() <= 1e-12
 
 
 def test_beta_zero_full_wager(corpus):

@@ -88,13 +88,80 @@ def test_solve_tree_matches_solve_fan():
     assert solve_tree(g1).values[0] == solve_fan([5]).root_value == 10.0
 
 
+def _dense_absorbing_values(g):
+    """Reference values from (I - A) u_nt = B u_t, assembled here from the edges."""
+    nt, t = list(g.nonterminals), list(g.terminals)
+    pos = {i: k for k, i in enumerate(nt)}
+    a = np.zeros((len(nt), len(nt)))
+    b = np.zeros((len(nt), g.num_nodes))
+    for i in nt:
+        succ = g.successors[i]
+        for j in succ:
+            w = 0.5 if len(succ) == 1 else 1.0 / len(succ)
+            if j in pos:
+                a[pos[i], pos[j]] = w
+            else:
+                b[pos[i], j] = w
+    u = np.zeros(g.num_nodes)
+    u[t] = [1.0 / g.values[k] for k in t]
+    u[nt] = np.linalg.solve(np.eye(len(nt)) - a, b @ u)
+    return 1.0 / u
+
+
 def test_tree_and_terminating_agree(terminating_corpus):
     for entry in terminating_corpus:
-        if not classify(entry.graph).is_tree:
-            continue
-        a = solve_tree(entry.graph).values
-        b = solve_terminating(entry.graph).values
-        assert np.max(np.abs(a - b) / np.abs(a)) <= 1e-12, entry.name
+        ref = _dense_absorbing_values(entry.graph)
+        solvers = [solve_terminating]
+        if classify(entry.graph).is_tree:
+            solvers.append(solve_tree)
+        for solver in solvers:
+            got = solver(entry.graph).values
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, (entry.name, solver)
+
+
+def test_long_chain_solves_without_recursion():
+    # node i moves to i + 1 or exits (value 2); the chain ends at a value-1 leaf
+    n = 20_000
+    labels = [str(i) for i in range(n)] + ["exit"]
+    chain = [(labels[i], labels[i + 1]) for i in range(n - 1)]
+    g = build_graph(labels, chain + [(labels[i], "exit") for i in range(n - 1)],
+                    {labels[n - 1]: 1, "exit": 2})
+    assert classify(g).kind is GraphKind.TERMINATING
+    assert len(g.components) == n + 1
+    sol = solve(g)
+    # u_i - 1/2 halves at every step back from the leaf
+    expected = 0.5 + 0.5 * 0.5 ** np.arange(n - 1, -1, -1.0)
+    assert np.abs(sol.reciprocals[:n] - expected).max() <= 1e-15
+
+    tree = build_graph(labels[:n], chain, {labels[n - 1]: 1})
+    assert classify(tree).kind is GraphKind.TREE
+    assert len(tree.components) == n
+
+
+def test_exact_mode_on_a_diamond_dag():
+    # s -> {a, b}, a -> {c, t1}, b -> c, c -> t2: not a tree (c has two parents)
+    g = build_graph(
+        ["s", "a", "b", "c", "t1", "t2"],
+        [("s", "a"), ("s", "b"), ("a", "c"), ("a", "t1"), ("b", "c"), ("c", "t2")],
+        {"t1": [1, 3], "t2": 5},
+    )
+    assert classify(g).kind is GraphKind.TERMINATING
+    sol = solve(g, exact=True)
+    u = [1 / v for v in sol.exact_values]
+    assert all(isinstance(x, Fraction) for x in u)
+    for i in g.nonterminals:
+        succ = g.successors[i]
+        if len(succ) == 1:
+            assert u[i] == u[succ[0]] / 2
+        else:
+            assert u[i] == sum((u[j] for j in succ), Fraction(0)) / len(succ)
+    # u_c = 1/10, u_b = 1/20, u_a = (1/10 + 3)/2 = 31/20, u_s = (31/20 + 1/20)/2 = 4/5
+    assert sol.exact_values[0] == Fraction(5, 4)
+    assert np.allclose(sol.values, _dense_absorbing_values(g), rtol=1e-12, atol=0)
+
+    loop = build_graph(["1", "t"], [("1", "1"), ("1", "t")], {"t": 1})
+    with pytest.raises(UnsupportedGraphError):
+        solve(loop, exact=True)
 
 
 def test_exact_tree_requires_exact_values():

@@ -12,6 +12,7 @@ from pathwager import (
     exploit_search,
     solve,
 )
+import pathwager.verify
 from pathwager.verify import (
     audit_convergence,
     brute_force_value,
@@ -177,3 +178,14 @@ def test_certify_graph_composite(terminating_corpus, sc_corpus):
         assert cert.passed, entry.name
         doc = cert.to_dict()
         assert doc["passed"] and doc["checks"]
+
+
+def test_certify_graph_reuses_the_solution(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify_graph solved the graph again")
+
+    for g in (build_stopping_variant(4), build_window_game(3, 1)):
+        sol = solve(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(pathwager.verify, "solve", refuse)
+            assert certify_graph(g, sol).passed
