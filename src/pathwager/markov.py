@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import GameGraph, GraphKind
-from .values import GameSolution, UnsupportedGraphError, build_propagation_matrix
+from .values import ConvergenceError, GameSolution, UnsupportedGraphError, build_propagation_matrix
 
 _VALUE_FAIR_TOL = 1e-10
 _STATIONARY_TOL = 1e-10
@@ -180,7 +180,7 @@ def invariant_measure(solution: GameSolution) -> np.ndarray:
     flow = solution.reciprocals * solution.edges.rmatvec(solution.values * mu)
     drift = float(np.abs(flow / solution.spectral.radius - mu).max())
     if drift > _STATIONARY_TOL:
-        raise RuntimeError(f"invariant measure fails stationarity check: drift {drift:.3e}")
+        raise ConvergenceError(f"invariant measure fails stationarity check: drift {drift:.3e}")
     return mu
 
 

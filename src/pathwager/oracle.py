@@ -280,13 +280,19 @@ def build_forbidden_pattern_game(patterns: Sequence[str]) -> GameGraph:
 
 
 def stop_probability_formula(n: int, i: int) -> float:
-    """Closed-form optimal stop probability from node i in the stopping game."""
+    """Closed-form optimal stop probability from node i in the stopping game.
+
+    (2^n - 1) / (3 (2^(n-1) + 2^(n-2) - 1)) for i = 1 and
+    (2^n - 1) / (2^(n+1) - 2^(i-2) - 2) for 3 <= i <= n, evaluated with
+    numerator and denominator divided by 2^n so that no power overflows.
+    """
+    tiny = 2.0**-n
     if i == 1:
-        return (2.0**n - 1.0) / (3.0 * (2.0 ** (n - 1) + 2.0 ** (n - 2) - 1.0))
+        return (1.0 - tiny) / (3.0 * (0.75 - tiny))
     if i == 2:
         return 0.0
     if 3 <= i <= n:
-        return (2.0**n - 1.0) / (2.0 ** (n + 1) - 2.0 ** (i - 2) - 2.0)
+        return (1.0 - tiny) / (2.0 - 2.0 ** (i - 2 - n) - 2.0 * tiny)
     raise ValueError(f"node index {i} outside 1..{n}")
 
 

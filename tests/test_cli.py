@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pathwager
 import pathwager.cli
 import pathwager.graph
 import pathwager.markov
@@ -126,6 +130,29 @@ def test_generate_then_solve_pipeline(tmp_path, capsys):
     assert code == 0 and doc["class"] == "terminating"
 
     assert dispatch(["generate", "--oracle", "window:1,1"]) == 1
+
+
+def test_generate_large_stopping_variant(tmp_path):
+    # 2**n overflows a float from n = 1024 on
+    out = tmp_path / "g.json"
+    assert dispatch(["generate", "--oracle", "window-stop:1030", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["nodes"]) == 1031
+
+
+@pytest.mark.parametrize("module", ["pathwager", "pathwager.cli"])
+def test_runs_as_a_module_from_the_source_tree(module, fan_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    assert run("--version").strip() == f"pathwager {pathwager.__version__}"
+    doc = json.loads(run("solve", "--graph", fan_path))
+    assert abs(doc["values"]["root"] - 8 / 3) < 1e-12
 
 
 def test_generate_patterns_file(tmp_path, capsys):

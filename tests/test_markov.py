@@ -16,7 +16,7 @@ from pathwager import (
     steady_state_fortunes,
     stopping_analysis,
 )
-from pathwager.values import UnsupportedGraphError
+from pathwager.values import ConvergenceError, UnsupportedGraphError
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -113,6 +113,14 @@ def test_invariant_measure_properties(sc_corpus):
         mu = invariant_measure(sol)
         assert abs(mu.sum() - 1) <= 1e-12
         assert np.all(mu > 0), entry.name
+
+
+def test_invariant_measure_rejects_a_wrong_left_vector():
+    sol = solve(build_window_game(4, 1))
+    sol.spectral.left_vec = sol.spectral.left_vec.copy()
+    sol.spectral.left_vec[0] *= 1.5
+    with pytest.raises(ConvergenceError, match="stationarity"):
+        invariant_measure(sol)
 
 
 def test_lie_fraction_grows_toward_cap():

@@ -1,6 +1,7 @@
 """Oracle game generation: automata, languages, and closed-form references."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ def test_stopping_variant_formula_range():
         stop_probability_formula(3, 4)
     with pytest.raises(OracleBuildError):
         build_stopping_variant(1)
+
+
+@pytest.mark.parametrize("n", [5, 60, 1024, 1100, 2000])
+def test_stop_probability_formula_matches_rational_arithmetic(n):
+    for i in [1] + list(range(3, n + 1)):
+        if i == 1:
+            exact = Fraction(2**n - 1, 3 * (2 ** (n - 1) + 2 ** (n - 2) - 1))
+        else:
+            exact = Fraction(2**n - 1, 2 ** (n + 1) - 2 ** (i - 2) - 2)
+        got = stop_probability_formula(n, i)
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**15) * exact, (n, i)
 
 
 def test_stopping_variant_matches_formula():

@@ -189,3 +189,90 @@ def test_certify_graph_reuses_the_solution(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(pathwager.verify, "solve", refuse)
             assert certify_graph(g, sol).passed
+
+
+def dense_propagation(graph):
+    """M assembled from the successor lists: 1 on terminals, 1/2 on a forced
+    move, 1/n_i on each of n_i >= 2 moves."""
+    n = graph.num_nodes
+    m = np.zeros((n, n))
+    for i in range(n):
+        succ = list(graph.successors[i])
+        if not succ:
+            m[i, i] = 1.0
+        else:
+            m[i, succ] += 0.5 if len(succ) == 1 else 1.0 / len(succ)
+    return m
+
+
+def sequential_audit_residual(graph, solution, steps=400):
+    """max |M^s - limit| (r^{-s} M^s on strongly connected graphs) by s
+    sequential products, with the limit of the paper's limit theory."""
+    m = dense_propagation(graph)
+    n = graph.num_nodes
+    if solution.spectral is None:
+        nt, t = list(graph.nonterminals), list(graph.terminals)
+        limit = np.zeros((n, n))
+        limit[t, t] = 1.0
+        if nt:
+            limit[np.ix_(nt, t)] = np.linalg.solve(
+                np.eye(len(nt)) - m[np.ix_(nt, nt)], m[np.ix_(nt, t)]
+            )
+        scale = 1.0
+    else:
+        x, y = solution.spectral.right_vec, solution.spectral.left_vec
+        limit = np.outer(x, y) / (x @ y)
+        scale = solution.spectral.radius
+    power = np.eye(n)
+    for _ in range(steps):
+        power = (power @ m) / scale
+    return float(np.abs(power - limit).max())
+
+
+def test_squared_audit_matches_sequential_products(corpus):
+    graphs = [(entry.name, entry.graph) for entry in corpus]
+    graphs += [("window:12,3", build_window_game(12, 3)),
+               ("window-stop:20", build_stopping_variant(20))]
+    for name, g in graphs:
+        sol = solve(g)
+        cert = pathwager.verify._audit(sol, 400)
+        reference = sequential_audit_residual(g, sol)
+        assert abs(cert.residual - reference) <= 1e-12, (name, cert.residual, reference)
+        assert cert.passed == (reference <= pathwager.verify.RESIDUAL_TOL), name
+
+
+def test_audit_still_fails_the_one_lie_window_of_thirty():
+    cert = audit_convergence(build_window_game(30, 1))
+    assert not cert.passed
+    assert abs(cert.residual - 7.645e-6) <= 0.01 * 7.645e-6
+    scaled = next(c for c in cert.checks if c.name == "scaled_power_limit")
+    assert not scaled.passed
+
+
+def test_audit_still_fails_a_slowly_absorbing_ring():
+    # each ring node moves one or two steps on; only r0 may also exit
+    k = 32
+    labels = [f"r{i}" for i in range(k)] + ["exit"]
+    edges = [(f"r{i}", f"r{(i + d) % k}") for i in range(k) for d in (1, 2)]
+    edges.append(("r0", "exit"))
+    g = build_graph(labels, edges, {"exit": 1})
+    nt = list(g.nonterminals)
+    transient = dense_propagation(g)[np.ix_(nt, nt)]
+    assert np.abs(np.linalg.eigvals(transient)).max() >= 0.96
+    cert = audit_convergence(g)
+    assert not cert.passed
+    failed = {c.name for c in cert.checks if not c.passed}
+    assert failed == {"power_limit_absorbing", "transient_block_vanishes"}
+
+
+def test_audit_rejects_negative_steps():
+    with pytest.raises(ValueError):
+        audit_convergence(fan24(), steps=-1)
+    with pytest.raises(ValueError):
+        pathwager.verify._audit(solve(build_window_game(3, 1)), -1)
+
+
+def test_audit_with_zero_steps_compares_the_identity():
+    cert = audit_convergence(fan24(), steps=0)
+    assert not cert.passed
+    assert cert.residual == 1.0
