@@ -462,6 +462,7 @@ def dispatch(argv=None) -> int:
         ConvergenceError,
         FileNotFoundError,
         ValueError,
+        MemoryError,  # a huge dense block or occupancy matrix; numpy's message has the size
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

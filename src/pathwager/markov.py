@@ -1,12 +1,15 @@
 """Play dynamics under the limiting strategies.
 
 For terminating graphs: expected stopping times, the stopping-time
-distribution, and terminal-hit probabilities, all in closed matrix form
-from the propagation blocks A, B and the value diagonal V:
+distribution, and terminal-hit probabilities, in closed form in the blocks
+A, B of the propagation operator and the value diagonal V:
 
     tau = V_nt (I - A)^{-1} V_nt^{-1} 1
     q_t = V_nt A^{t-1} B V_t^{-1} 1
     rho = V_nt (I - A)^{-1} B V_t^{-1}
+
+A and B are never formed: tau and rho come from the values' component walk
+with a block of right-hand sides, and q_t runs in the same component order.
 
 For strongly connected aperiodic graphs: the invariant measure of the
 position walk (entrywise product of the scaled Perron eigenvectors) and the
@@ -24,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .graph import GameGraph, GraphKind
-from .values import ConvergenceError, GameSolution, UnsupportedGraphError, build_propagation_matrix
+from .values import ConvergenceError, GameSolution, UnsupportedGraphError
+from .values import _component_block, _solve_by_components
 
 _VALUE_FAIR_TOL = 1e-10
 _STATIONARY_TOL = 1e-10
@@ -104,25 +108,30 @@ def stopping_analysis(solution: GameSolution, graph: GameGraph, t_max: int) -> S
         raise ValueError("t_max must be at least 1")
     if not solution.graph_class.is_terminating:
         raise UnsupportedGraphError("stopping analysis requires a terminating graph")
-    prop = build_propagation_matrix(graph)
-    nt, t = list(prop.nt), list(prop.t)
-    a, b = prop.A, prop.B
-    v_nt = solution.values[nt]
-    u_t = solution.reciprocals[t]
+    nt, t = list(graph.nonterminals), list(graph.terminals)
+    v_nt, u = solution.values[nt], solution.reciprocals
 
-    eye = np.eye(len(nt))
-    tau = v_nt * np.linalg.solve(eye - a, 1.0 / v_nt)
-
-    # q_t = V_nt A^{t-1} (B u_t); iterate the core vector
-    core = b @ u_t
-    stop_dist = np.empty((t_max, len(nt)))
-    for step in range(t_max):
-        stop_dist[step] = v_nt * core
-        core = a @ core
-    tail_mass = 1.0 - stop_dist.sum(axis=0)
-
-    rho = v_nt[:, None] * np.linalg.solve(eye - a, b * u_t[None, :])
-    return StoppingStats(tau=tau, stop_dist=stop_dist, terminal_probs=rho, tail_mass=tail_mass)
+    # tau and rho: one solve with the columns [u_nt | diag(u_t)], then scaled by V_nt
+    z = np.zeros((graph.num_nodes, 1 + len(t)))
+    z[nt, 0], z[t, 1 + np.arange(len(t))] = u[nt], u[t]
+    _solve_by_components(graph, z)
+    z[nt] *= v_nt[:, None]
+    # q_t = V_nt c_t with c_1 = B u_t and c_{t+1} = A c_t; c[i, s] holds (c_s)_i
+    c = np.zeros((graph.num_nodes, t_max + 1))
+    c[t, 0] = u[t]
+    for comp in graph.components:
+        i, succ = comp[0], graph.successors[comp[0]]
+        if graph.is_cyclic(comp):
+            local = np.zeros((t_max + 1, len(comp)))  # local[s] = c_s on the component
+            block = _component_block(graph, comp, c[:, :-1], local[1:].T)  # shifted inflow
+            for prev, row in zip(local, local[1:]):
+                row += block.dot(prev)
+            c[list(comp)] = local.T
+        elif succ:
+            c[i, 1:] = sum(c[j, :-1] for j in succ) / (2 if len(succ) == 1 else len(succ))
+    stop_dist = v_nt * c[nt, 1:].T
+    return StoppingStats(tau=z[nt, 0], stop_dist=stop_dist, terminal_probs=z[nt, 1:],
+                         tail_mass=1.0 - stop_dist.sum(axis=0))
 
 
 def fairness_check(solution: GameSolution, graph: GameGraph) -> FairnessVerdict:
@@ -133,36 +142,20 @@ def fairness_check(solution: GameSolution, graph: GameGraph) -> FairnessVerdict:
     """
     if solution.graph_class.is_terminating:
         value_fair = bool(np.abs(solution.values - 1.0).max() <= _VALUE_FAIR_TOL)
-        for i in graph.nonterminals:
-            if graph.out_degree(i) == 1:
-                return FairnessVerdict(
-                    False,
-                    f"node {graph.labels[i]!r} has out-degree 1",
-                    value_fair,
-                )
-        for i in graph.terminals:
-            if graph.values[i] != 1:
-                return FairnessVerdict(
-                    False,
-                    f"terminal node {graph.labels[i]!r} has value {graph.values[i]:.12g} != 1",
-                    value_fair,
-                )
-        return FairnessVerdict(
-            True,
-            "all terminal values are 1 and every non-terminal out-degree is >= 2",
-            value_fair,
-        )
-    if solution.graph_class.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
+        fair_reason = "all terminal values are 1 and every non-terminal out-degree is >= 2"
+    elif solution.graph_class.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
         value_fair = bool(abs(solution.spectral.radius - 1.0) <= _VALUE_FAIR_TOL)
-        for i in range(graph.num_nodes):
-            if graph.out_degree(i) == 1:
-                return FairnessVerdict(
-                    False,
-                    f"node {graph.labels[i]!r} has out-degree 1",
-                    value_fair,
-                )
-        return FairnessVerdict(True, "every out-degree is >= 2", value_fair)
-    raise UnsupportedGraphError("fairness is defined for supported graph classes only")
+        fair_reason = "every out-degree is >= 2"
+    else:
+        raise UnsupportedGraphError("fairness is defined for supported graph classes only")
+    for i in graph.nonterminals:  # every node of a strongly connected graph
+        if graph.out_degree(i) == 1:
+            return FairnessVerdict(False, f"node {graph.labels[i]!r} has out-degree 1", value_fair)
+    for i in graph.terminals:  # none on a strongly connected graph
+        if graph.values[i] != 1:
+            reason = f"terminal node {graph.labels[i]!r} has value {graph.values[i]:.12g} != 1"
+            return FairnessVerdict(False, reason, value_fair)
+    return FairnessVerdict(True, fair_reason, value_fair)
 
 
 def invariant_measure(solution: GameSolution) -> np.ndarray:

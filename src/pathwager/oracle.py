@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import GameGraph, GraphError, GraphKind, build_graph, classify
-from .strategy import chooser_transition_matrix
+from .strategy import _edge_probabilities
 from .values import solve_terminating
 
 TRUTH = "truth"
@@ -321,11 +321,11 @@ def build_stopping_variant(n: int) -> GameGraph:
     graph = build_graph(labels, edges, {"stop": 1}, edge_labels=edge_labels)
 
     solution = solve_terminating(graph)
-    p = chooser_transition_matrix(solution, graph)
-    stop_idx = graph.index_of("stop")
+    into_stop = solution.edges.dst == graph.index_of("stop")
+    stop_prob = dict(zip(solution.edges.src[into_stop], _edge_probabilities(solution)[into_stop]))
     for i in range(1, n + 1):
         want = stop_probability_formula(n, i)
-        got = float(p[graph.index_of(str(i)), stop_idx])
+        got = float(stop_prob.get(graph.index_of(str(i)), 0.0))
         if abs(got - want) > _STOP_FORMULA_TOL:
             raise OracleBuildError(
                 f"stopping-variant construction failed its self-check at node {i}: "

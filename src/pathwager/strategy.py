@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GameGraph
-from .values import GameSolution, build_propagation_matrix
+from .values import GameSolution
 
 _PROB_TOL = 1e-12
 _WAGER_ZERO_TOL = 1e-12
@@ -123,9 +123,13 @@ def chooser_transition_matrix(solution: GameSolution, graph: GameGraph) -> np.nd
     """
     if solution.graph != graph:
         raise StrategyError("solution does not belong to this graph")
-    m = build_propagation_matrix(graph).matrix
-    v = solution.values
-    p = (v[:, None] * m) * solution.reciprocals[None, :]
-    if solution.spectral is not None:
-        p /= solution.spectral.radius
+    p = np.zeros((graph.num_nodes, graph.num_nodes))
+    p[solution.edges.src, solution.edges.dst] = _edge_probabilities(solution)
     return p
+
+
+def _edge_probabilities(solution: GameSolution) -> np.ndarray:
+    """P along each edge of ``solution.edges``: v_src w u_dst, divided by r if there is one."""
+    edges = solution.edges
+    p = solution.values[edges.src] * edges.weight * solution.reciprocals[edges.dst]
+    return p if solution.spectral is None else p / solution.spectral.radius

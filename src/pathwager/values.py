@@ -8,11 +8,11 @@ reciprocal values u_i = 1/v_i, which propagate linearly:
     u_i = (1/n_i) * sum_{j: i->j} u_j  out-degree n_i >= 2
 
 Each solve holds the rule once, as an edge list.  Terminating graphs pin u
-at the terminal nodes and back-substitute over the strongly connected
-components, sinks first, solving a small linear system only on cyclic
-components; strongly connected aperiodic graphs have no terminals and the
-reciprocal values are the Perron eigenvector of the propagation operator,
-with the maximal eigenvalue doubling as the optimal per-step discount factor.
+at the terminals and back-substitute over the strongly connected components,
+sinks first, solving densely only on cyclic ones; the same walk solves
+(I - A) Z = R for a block of right-hand sides.  Strongly connected aperiodic
+graphs have no terminals and the reciprocal values are the Perron eigenvector
+of the propagation operator, whose maximal eigenvalue is the discount factor.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def solve_tree(graph: GameGraph, exact: bool = False) -> GameSolution:
     cls = classify(graph)
     if not cls.is_tree:
         raise UnsupportedGraphError(f"solve_tree requires a fan or tree, got {cls}")
-    return _solve_by_components(graph, cls, exact)
+    return _solve_values(graph, cls, exact)
 
 
 def solve_terminating(graph: GameGraph, exact: bool = False) -> GameSolution:
@@ -210,28 +210,18 @@ def solve_terminating(graph: GameGraph, exact: bool = False) -> GameSolution:
     cls = classify(graph)
     if not cls.is_terminating:
         raise UnsupportedGraphError(f"solve_terminating requires a terminating graph, got {cls}")
-    return _solve_by_components(graph, cls, exact)
+    return _solve_values(graph, cls, exact)
 
 
-def _solve_by_components(graph: GameGraph, cls: GraphClass, exact: bool) -> GameSolution:
+def _solve_values(graph: GameGraph, cls: GraphClass, exact: bool) -> GameSolution:
     if exact:
         if graph.exact_values is None:
             raise UnsupportedGraphError("exact mode requires exact (rational) terminal values")
         if any(map(graph.is_cyclic, graph.components)):
             raise UnsupportedGraphError("exact mode requires an acyclic graph")
-    u: list = [None] * graph.num_nodes
-    for comp in graph.components:
-        if graph.is_cyclic(comp):
-            _solve_cyclic_component(graph, comp, u)
-            continue
-        (i,) = comp
-        succ = graph.successors[i]
-        if not succ:
-            u[i] = 1 / graph.exact_values[i] if exact else 1.0 / graph.values[i]
-        elif len(succ) == 1:
-            u[i] = u[succ[0]] / 2
-        else:
-            u[i] = sum(u[j] for j in succ) / len(succ)
+    terminal = graph.exact_values if exact else graph.values
+    u = [1 / terminal[i] if i in terminal else 0 for i in range(graph.num_nodes)]
+    _solve_by_components(graph, u)
 
     edges = EdgeList.of(graph)
     if exact:
@@ -245,27 +235,39 @@ def _solve_by_components(graph: GameGraph, cls: GraphClass, exact: bool) -> Game
     return GameSolution(graph, cls, 1.0 / recips, recips, edges)
 
 
-def _solve_cyclic_component(graph: GameGraph, comp: Sequence[int], u: list) -> None:
-    """Fill u on one cyclic component from its already-solved successors."""
+def _solve_by_components(graph: GameGraph, z: list | np.ndarray) -> None:
+    """Overwrite each row r_i of z with the solution of (I - A) z = r, sinks first.
+
+    Rows are floats, Fractions, or vectors of right-hand sides; terminals stay.
+    """
+    for comp in graph.components:
+        i, succ = comp[0], graph.successors[comp[0]]
+        if graph.is_cyclic(comp):
+            rhs = np.array([z[i] for i in comp], dtype=float)
+            block = _component_block(graph, comp, z, rhs)
+            try:
+                solved = np.linalg.solve(np.subtract(np.eye(len(comp)), block, out=block), rhs)
+            except np.linalg.LinAlgError as exc:  # impossible for valid input
+                raise ConvergenceError(f"singular system on a cyclic component: {exc}") from exc
+            for i, row in zip(comp, solved.tolist() if solved.ndim == 1 else solved):
+                z[i] = row
+        elif succ:
+            z[i] = z[i] + sum(map(z.__getitem__, succ)) / (2 if len(succ) == 1 else len(succ))
+
+
+def _component_block(graph: GameGraph, comp: Sequence[int], z, inflow: np.ndarray) -> np.ndarray:
+    """Dense block A_cc of a component; adds A_c,out z_out to ``inflow``, row by row."""
     pos = {i: k for k, i in enumerate(comp)}
-    system = np.eye(len(comp))
-    rhs = np.zeros(len(comp))
+    block = np.zeros((len(comp), len(comp)))
     for k, i in enumerate(comp):
         succ = graph.successors[i]
         weight = 0.5 if len(succ) == 1 else 1.0 / len(succ)
         for j in succ:
             if j in pos:
-                system[k, pos[j]] -= weight
+                block[k, pos[j]] = weight
             else:
-                rhs[k] += weight * u[j]
-    try:
-        block = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:  # impossible for valid input
-        raise ConvergenceError(
-            f"singular system while solving terminating graph: {exc}"
-        ) from exc
-    for i, value in zip(comp, block.tolist()):
-        u[i] = value
+                inflow[k] += weight * z[j]
+    return block
 
 
 def _power_iteration(product, n: int) -> tuple[float, np.ndarray]:

@@ -12,6 +12,8 @@ import pathwager
 import pathwager.cli
 import pathwager.graph
 import pathwager.markov
+import pathwager.oracle
+import pathwager.strategy
 import pathwager.values
 import pathwager.verify
 from pathwager import build_graph, serialize_graph
@@ -193,26 +195,38 @@ def _count_calls(monkeypatch, name, modules):
 @pytest.mark.parametrize("spec", ["window:8,1", "window-stop:6"])
 def test_each_command_classifies_and_solves_once(spec, tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "g.json")
-    assert dispatch(["generate", "--oracle", spec, "--out", path]) == 0
-    terminating = spec.startswith("window-stop")
     commands = {
         ("solve",): 0,
         ("solve", "--truncate", "5"): 0,
         ("strategy",): 0,
         ("simulate", "--reps", "50"): 0,
-        ("analyze",): int(terminating),   # stopping series only
+        ("analyze",): 0,
         ("verify",): 1,                   # the dense convergence audit
     }
+    for module in (pathwager.markov, pathwager.strategy, pathwager.oracle):
+        assert not hasattr(module, "build_propagation_matrix"), module.__name__
     passes = _count_calls(monkeypatch, "_strong_components", [pathwager.graph])
     solves = _count_calls(monkeypatch, "solve", [pathwager.cli, pathwager.values, pathwager.verify])
     dense = _count_calls(monkeypatch, "build_propagation_matrix",
-                         [pathwager.values, pathwager.markov, pathwager.verify])
+                         [pathwager.values, pathwager.verify])
+    assert dispatch(["generate", "--oracle", spec, "--out", path]) == 0
+    assert dense == []  # the window-stop self-check reads only the stop edges
     for command, dense_builds in commands.items():
         for calls in (passes, solves, dense):
             calls.clear()
         assert dispatch([command[0], "--graph", path, *command[1:]]) == 0, command
         capsys.readouterr()
         assert (len(passes), len(solves), len(dense)) == (1, 1, dense_builds), command
+
+
+def test_memory_error_is_an_input_error(fan_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.7 GiB for an array with shape (32000, 32000)")
+
+    monkeypatch.setattr(pathwager.cli, "solve", exhausted)
+    assert dispatch(["solve", "--graph", fan_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "7.7 GiB" in err
 
 
 def test_verify_exit_codes(fan_path, tmp_path, capsys):

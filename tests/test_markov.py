@@ -1,6 +1,8 @@
 """Markov dynamics: stopping times, fairness, invariant measures, fortunes."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ import pytest
 from pathwager import (
     analyze,
     build_graph,
+    build_propagation_matrix,
+    build_stopping_variant,
     build_window_game,
+    classify,
     fairness_check,
     gn1_reference,
     invariant_measure,
@@ -53,6 +58,76 @@ def test_stopping_identities_on_corpus(terminating_corpus):
         partial = stats.stop_dist.T @ t_grid.astype(float)
         assert np.abs(partial - stats.tau).max() <= 1e-8, entry.name
         assert np.all(stats.tau >= 1.0 - 1e-12)
+
+
+def _dense_stopping(graph, sol, t_max):
+    """tau, rho and q_t from the dense blocks A, B: two solves and dense powers of A."""
+    prop = build_propagation_matrix(graph)
+    a, b = prop.A, prop.B
+    v, u_t = sol.values[list(prop.nt)], sol.reciprocals[list(prop.t)]
+    eye = np.eye(len(prop.nt))
+    tau = v * np.linalg.solve(eye - a, 1.0 / v)
+    rho = v[:, None] * np.linalg.solve(eye - a, b * u_t)
+    core, power, q = b @ u_t, eye, []
+    for _ in range(t_max):
+        q.append(v * (power @ core))
+        power = power @ a
+    return tau, rho, np.array(q)
+
+
+def _chained_cycles(rng):
+    """Two to four cyclic components chained toward two terminals, with acyclic feeders."""
+    edges, labels, downstream = set(), ["t0", "t1"], ["t0", "t1"]
+    for b in range(rng.randint(2, 4)):
+        ring = [f"c{b}_{k}" for k in range(rng.randint(1, 5))]
+        for k, node in enumerate(ring):  # a ring of one is a self-loop
+            edges.add((node, ring[(k + 1) % len(ring)]))
+            if rng.random() < 0.4:
+                edges.add((node, rng.choice(ring)))
+        for node in rng.sample(ring, rng.randint(1, len(ring))):
+            edges.add((node, rng.choice(downstream)))
+        edges |= {(f"f{b}", ring[0]), (f"f{b}", rng.choice(downstream))}
+        labels += ring + [f"f{b}"]
+        downstream += ring + [f"f{b}"]
+    edges |= {("root", node) for node in rng.sample(downstream, 3)}
+    values = {"t0": rng.choice([0.5, 1, 2, 3]), "t1": rng.choice([1, 1.5, 4])}
+    return build_graph(labels + ["root"], sorted(edges), values)
+
+
+def test_stopping_analysis_matches_dense_reference(terminating_corpus):
+    graphs = [(e.name, e.graph) for e in terminating_corpus if e.graph.nonterminals]
+    graphs += [(f"window-stop:{n}", build_stopping_variant(n)) for n in range(5, 61)]
+    rng = random.Random(20)
+    for k in range(50):
+        g = _chained_cycles(rng)
+        assert classify(g).is_terminating and sum(map(g.is_cyclic, g.components)) >= 2
+        graphs.append((f"chained_{k}", g))
+    for name, g in graphs:
+        sol = solve(g)
+        stats = stopping_analysis(sol, g, t_max=60)
+        tau, rho, q = _dense_stopping(g, sol, 60)
+        for got, want in ((stats.tau, tau), (stats.terminal_probs, rho), (stats.stop_dist, q)):
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_stopping_analysis_forms_no_dense_matrix():
+    # a caterpillar: the path p0 -> ... -> p1999, every node also exiting to a or b
+    n = 2000
+    labels = [f"p{k}" for k in range(n)] + ["a", "b"]
+    edges = [(f"p{k}", f"p{k + 1}") for k in range(n - 1)]
+    edges += [(f"p{k}", "ab"[k % 2]) for k in range(n)]
+    g = build_graph(labels, edges, {"a": 1, "b": 2})
+    sol = solve(g)
+    tracemalloc.start()
+    try:
+        stats = stopping_analysis(sol, g, t_max=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.num_nodes**2 * 8, peak  # one N x N float64 array
+    assert stats.stop_dist.shape == (50, n) and stats.terminal_probs.shape == (n, 2)
+    assert np.abs(stats.terminal_probs.sum(axis=1) - 1).max() <= 1e-12
 
 
 def test_stopping_analysis_validates_tmax():
