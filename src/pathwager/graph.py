@@ -91,11 +91,11 @@ class GameGraph:
     def is_terminal(self, i: int) -> bool:
         return not self.successors[i]
 
-    @property
+    @cached_property
     def terminals(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.num_nodes) if self.is_terminal(i))
 
-    @property
+    @cached_property
     def nonterminals(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.num_nodes) if not self.is_terminal(i))
 
@@ -114,6 +114,11 @@ class GameGraph:
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Strongly connected components, sinks first (the value solve's order); cached."""
         return _strong_components(self.successors)
+
+    @cached_property
+    def _class(self) -> GraphClass:
+        """Structural class, as ``classify`` reports it; cached."""
+        return _classify(self)
 
     def is_cyclic(self, component: Sequence[int]) -> bool:
         """True when a component carries a cycle: two or more nodes, or a self-loop."""
@@ -366,7 +371,11 @@ def aperiodicity_gcd(g: GameGraph) -> int:
 
 
 def classify(g: GameGraph) -> GraphClass:
-    """Most specific structural class, or UNSUPPORTED with a reason, from ``g.components``."""
+    """Most specific structural class, or UNSUPPORTED with a reason; kept on the graph."""
+    return g._class
+
+
+def _classify(g: GameGraph) -> GraphClass:
     components = g.components
     if g.terminals:
         reaches = [False] * g.num_nodes   # node can reach a terminal

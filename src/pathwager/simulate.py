@@ -11,6 +11,13 @@ next node, and the fortune is multiplied by
 Reaching a terminal node multiplies the fortune by that node's value and
 ends the game.
 
+``run`` moves all replications together through one step kernel.  Node i's
+successors and both players' CDFs over them fill row i of flat per-edge
+tables; a vectorised bisection in that row picks the guess and the move, the
+index ``searchsorted(cdf, u, side="right")`` capped at degree - 1, as
+``play_step`` takes it.  Replications drop out at a terminal; strongly
+connected games instead run a fixed horizon, discounted every step.
+
 Randomness is counter-based (Philox 4x32, 10 rounds): the pair of uniforms
 consumed at step t of replication k is a pure function of (seed, k, t), so
 replications are independent streams and results are bit-identical whether
@@ -217,79 +224,67 @@ def run(config: SimulationConfig) -> SimulationResult:
     kind = cls.kind
     if kind is GraphKind.UNSUPPORTED:
         raise UnsupportedGraphError(cls.reason)
-    if kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
-        if config.discount is None:
-            raise ValueError(
-                "simulating a strongly connected graph requires a discount factor"
-            )
-        return _run_fixed_horizon(config)
-    return _run_terminating(config, kind)
+    if kind is not GraphKind.STRONGLY_CONNECTED_APERIODIC:
+        return _walk(config, kind, 1.0, set())
+    if config.discount is None:
+        raise ValueError("simulating a strongly connected graph requires a discount factor")
+    checkpoints = set(config.checkpoints or (config.max_steps,))
+    if any(t < 1 or t > config.max_steps for t in checkpoints):
+        raise ValueError("checkpoints must lie in 1..max_steps")
+    return _walk(config, kind, float(config.discount), checkpoints)
 
 
-def _node_tables(graph: GameGraph, profile: StrategyProfile):
-    """Per-node successor arrays, CDFs, wagers, and payoff multipliers."""
-    tables = {}
-    for i in graph.nonterminals:
-        succ = np.array(graph.successors[i])
-        tables[i] = (
-            succ,
-            np.cumsum(profile.guesser[i]),
-            np.cumsum(profile.chooser[i]),
-            *_multipliers(len(succ), profile.wagers[i]),
-        )
-    return tables
+def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoints: set):
+    """The step kernel: each live replication plays one round per step.
 
+    Replications drop out at a terminal and are censored if still live after
+    max_steps.  Strongly connected games (where none drops out) are discounted
+    every step and record checkpoints and occupancy; terminating games pass
+    ``discount`` = 1.0, by which multiplying is exact.
+    """
+    graph, reps = config.graph, config.replications
+    horizon = kind is GraphKind.STRONGLY_CONNECTED_APERIODIC
+    offsets, dst, g_cdf, c_cdf, win, lose, value = _edge_tables(graph, config.profile)
+    rounds = (int(np.diff(offsets).max()) - 1).bit_length()
+    is_terminal = offsets[:-1] == offsets[1:]
 
-def _run_terminating(config: SimulationConfig, kind: GraphKind) -> SimulationResult:
-    graph = config.graph
-    tables = _node_tables(graph, config.profile)
-    terminal_value = np.zeros(graph.num_nodes)
-    is_terminal = np.zeros(graph.num_nodes, dtype=bool)
-    for k in graph.terminals:
-        terminal_value[k] = graph.values[k]
-        is_terminal[k] = True
-
-    reps = config.replications
     state = np.full(reps, config.start, dtype=np.int64)
     fortune = np.ones(reps)
-    stop_time = np.zeros(reps, dtype=np.int64)
+    stop_time = np.full(reps, config.max_steps, dtype=np.int64)
     terminal_node = np.full(reps, -1, dtype=np.int64)
-    active_ids = np.arange(reps, dtype=np.int64)
+    track = horizon and config.track_occupancy
+    occupancy = np.zeros((reps, graph.num_nodes), dtype=np.int64) if track else None
+    records: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    active = np.arange(reps, dtype=np.int64)
 
     for t in range(config.max_steps):
-        if active_ids.size == 0:
+        if active.size == 0:
             break
-        u_guess, u_choice = step_uniforms(config.seed, active_ids, t)
-        nodes = state[active_ids]
-        nxt = np.empty(active_ids.size, dtype=np.int64)
-        mult = np.empty(active_ids.size)
-        for i in np.unique(nodes):
-            sel = nodes == i
-            succ, g_cdf, p_cdf, win, lose = tables[int(i)]
-            gi = np.minimum(np.searchsorted(g_cdf, u_guess[sel], side="right"), len(succ) - 1)
-            ci = np.minimum(np.searchsorted(p_cdf, u_choice[sel], side="right"), len(succ) - 1)
-            nxt[sel] = succ[ci]
-            mult[sel] = np.where(gi == ci, win, lose)
-        fortune[active_ids] *= mult
-        state[active_ids] = nxt
+        u_guess, u_choice = step_uniforms(config.seed, active, t)
+        nodes = state[active]
+        first, last = offsets[nodes], offsets[nodes + 1] - 1
+        guess = _bisect(g_cdf, first, last, u_guess, rounds)
+        choice = _bisect(c_cdf, first, last, u_choice, rounds)
+        nxt = dst[choice]
+        fortune[active] *= discount * np.where(guess == choice, win[nodes], lose[nodes])
+        state[active] = nxt
+        if occupancy is not None:
+            occupancy[active, nxt] += 1
+        if t + 1 in checkpoints:
+            records[t + 1] = (state.copy(), fortune.copy())
         absorbed = is_terminal[nxt]
         if absorbed.any():
-            done = active_ids[absorbed]
-            fortune[done] *= terminal_value[nxt[absorbed]]
+            done = active[absorbed]
+            fortune[done] *= value[nxt[absorbed]]
             stop_time[done] = t + 1
             terminal_node[done] = nxt[absorbed]
-            active_ids = active_ids[~absorbed]
+            active = active[~absorbed]
 
     censored = np.zeros(reps, dtype=bool)
-    censored[active_ids] = True
-    stop_time[active_ids] = config.max_steps
+    censored[active] = not horizon  # a fixed horizon censors no replication
     result = SimulationResult(
-        config=config,
-        kind=kind,
-        final_fortunes=fortune,
-        stopping_times=stop_time,
-        terminal_nodes=terminal_node,
-        censored=censored,
+        config=config, kind=kind, final_fortunes=fortune, stopping_times=stop_time,
+        terminal_nodes=terminal_node, censored=censored, checkpoints=records, occupancy=occupancy,
     )
     rate = censored.mean()
     if rate > _CENSOR_WARN_RATE:
@@ -300,51 +295,44 @@ def _run_terminating(config: SimulationConfig, kind: GraphKind) -> SimulationRes
     return result
 
 
-def _run_fixed_horizon(config: SimulationConfig) -> SimulationResult:
-    graph = config.graph
-    tables = _node_tables(graph, config.profile)
-    reps = config.replications
-    discount = float(config.discount)
-    checkpoints = tuple(sorted(set(config.checkpoints or (config.max_steps,))))
-    if any(t < 1 or t > config.max_steps for t in checkpoints):
-        raise ValueError("checkpoints must lie in 1..max_steps")
+def _edge_tables(graph: GameGraph, profile: StrategyProfile):
+    """Flat per-edge tables in node order, and per-node payoffs.
 
-    state = np.full(reps, config.start, dtype=np.int64)
-    discounted = np.ones(reps)     # discount^t * fortune, updated in place
-    rep_ids = np.arange(reps, dtype=np.int64)
-    occupancy = (
-        np.zeros((reps, graph.num_nodes), dtype=np.int64) if config.track_occupancy else None
-    )
-    records: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    Row i of the edge tables is ``offsets[i]:offsets[i + 1]``: the successors
+    of node i and the guesser's and chooser's CDFs over them, each the
+    ``np.cumsum`` of the row that ``_pick`` takes.  ``win``/``lose`` are the
+    node's multipliers and ``value`` the terminal values (0 elsewhere).
+    """
+    n = graph.num_nodes
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(succ) for succ in graph.successors], out=offsets[1:])
+    dst = np.fromiter((j for succ in graph.successors for j in succ), np.int64, int(offsets[-1]))
+    rows = graph.nonterminals
+    g_cdf = np.concatenate([np.cumsum(profile.guesser[i]) for i in rows])
+    c_cdf = np.concatenate([np.cumsum(profile.chooser[i]) for i in rows])
+    win, lose, value = np.ones(n), np.ones(n), np.zeros(n)
+    for i in rows:
+        win[i], lose[i] = _multipliers(graph.out_degree(i), profile.wagers[i])
+    for k in graph.terminals:
+        value[k] = graph.values[k]
+    return offsets, dst, g_cdf, c_cdf, win, lose, value
 
-    for t in range(config.max_steps):
-        u_guess, u_choice = step_uniforms(config.seed, rep_ids, t)
-        nxt = np.empty(reps, dtype=np.int64)
-        mult = np.empty(reps)
-        for i in np.unique(state):
-            sel = state == i
-            succ, g_cdf, p_cdf, win, lose = tables[int(i)]
-            gi = np.minimum(np.searchsorted(g_cdf, u_guess[sel], side="right"), len(succ) - 1)
-            ci = np.minimum(np.searchsorted(p_cdf, u_choice[sel], side="right"), len(succ) - 1)
-            nxt[sel] = succ[ci]
-            mult[sel] = np.where(gi == ci, win, lose)
-        discounted *= discount * mult
-        state = nxt
-        if occupancy is not None:
-            np.add.at(occupancy, (rep_ids, state), 1)
-        if (t + 1) in checkpoints:
-            records[t + 1] = (state.copy(), discounted.copy())
 
-    return SimulationResult(
-        config=config,
-        kind=GraphKind.STRONGLY_CONNECTED_APERIODIC,
-        final_fortunes=discounted,
-        stopping_times=np.full(reps, config.max_steps, dtype=np.int64),
-        terminal_nodes=np.full(reps, -1, dtype=np.int64),
-        censored=np.zeros(reps, dtype=bool),
-        checkpoints=records,
-        occupancy=occupancy,
-    )
+def _bisect(cdf: np.ndarray, first: np.ndarray, last: np.ndarray, u: np.ndarray, rounds: int):
+    """Per replication, the edge of row [first, last] that ``_pick`` takes for u.
+
+    A CDF row is nondecreasing, so the count of its entries <= u in [first,
+    last), which the halvings of [lo, hi) find, equals searchsorted(side="right")
+    over the whole row capped at degree - 1.  ``rounds`` is the bit length of
+    d_max - 1; shorter rows idle once lo == hi.
+    """
+    lo, hi = first, last
+    for _ in range(rounds):
+        mid = (lo + hi) >> 1
+        right = (cdf[mid] <= u) & (lo < hi)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
 
 
 # -- best-response search --------------------------------------------------

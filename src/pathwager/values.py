@@ -329,7 +329,9 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
     edges = EdgeList.of(graph)
     r, x = _power_iteration(edges.matvec, graph.num_nodes)
     r_left, y = _power_iteration(edges.rmatvec, graph.num_nodes)
-    radius = 0.5 * (r + r_left)
+    # cap at the row-sum bound r <= max_i sum_j M_ij = 1 (Meyer, Matrix Analysis,
+    # 8.1): rounding can put the two estimates a few ulps above it
+    radius = min(0.5 * (r + r_left), 1.0)
     u = x * (y.sum() / (x @ y))
     if np.any(u <= 0) or np.any(x <= 0) or np.any(y <= 0):
         raise ConvergenceError("Perron vectors are not strictly positive")
@@ -371,9 +373,8 @@ def _truncation_series(solution: GameSolution, steps: int) -> TruncationSeries:
         u[i] = 1.0 / graph.values[i]
     scale = 1.0 if solution.spectral is None else 1.0 / solution.spectral.radius
     vectors = [u]
-    residuals = [float(np.abs(u - limit).max())]
     for _ in range(steps):
         u = scale * solution.edges.matvec(u)  # a new array each step
         vectors.append(u)
-        residuals.append(float(np.abs(u - limit).max()))
-    return TruncationSeries(steps=steps, vectors=vectors, residuals=np.array(residuals))
+    residuals = np.abs(np.array(vectors) - limit).max(axis=1)
+    return TruncationSeries(steps=steps, vectors=vectors, residuals=residuals)

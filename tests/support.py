@@ -180,6 +180,7 @@ def _named_entries() -> list[Entry]:
 
 _CORPUS: list[Entry] | None = None
 _RANDOM_COUNT = {"fan": 14, "tree": 8, "term": 14, "fair_term": 6, "sc": 10, "fair_sc": 4}
+_MAX_DRAWS = 1000   # per group; the corpus takes 23, 8, 90 and 6 draws
 
 
 def full_corpus() -> list[Entry]:
@@ -193,17 +194,18 @@ def full_corpus() -> list[Entry]:
         entries.append(_random_fan(rng, i))
     for i in range(_RANDOM_COUNT["tree"]):
         entries.append(_random_tree(rng, i))
-    for group, fair in (("term", False), ("fair_term", True)):
-        made = 0
+    for group, fair, draw in (("term", False, _random_terminating),
+                              ("fair_term", True, _random_terminating),
+                              ("sc", False, _random_strongly_connected),
+                              ("fair_sc", True, _random_strongly_connected)):
+        made = draws = 0
         while made < _RANDOM_COUNT[group]:
-            entry = _random_terminating(rng, made, fair)
-            if entry is not None:
-                entries.append(entry)
-                made += 1
-    for group, fair in (("sc", False), ("fair_sc", True)):
-        made = 0
-        while made < _RANDOM_COUNT[group]:
-            entry = _random_strongly_connected(rng, made, fair)
+            if draws == _MAX_DRAWS:
+                # a broken solver or stopping series rejects every graph
+                raise RuntimeError(f"corpus group {group!r}: only {made} of "
+                                   f"{_RANDOM_COUNT[group]} graphs passed in {draws} draws")
+            draws += 1
+            entry = draw(rng, made, fair)
             if entry is not None:
                 entries.append(entry)
                 made += 1

@@ -111,6 +111,17 @@ def test_simulate_summary_and_seed_env(fan_path, capsys, monkeypatch):
     assert dispatch(["simulate", "--graph", fan_path, "--reps", "50"]) == 1
 
 
+def test_simulate_runs_on_every_strongly_connected_graph(sc_corpus, tmp_path, capsys):
+    # power iteration can put the radius of a stochastic M a few ulps above 1,
+    # which the discount check would refuse
+    for entry in sc_corpus:
+        assert pathwager.solve(entry.graph).spectral.radius <= 1.0, entry.name
+        path = tmp_path / f"{entry.name}.json"
+        path.write_text(serialize_graph(entry.graph))
+        argv = ["simulate", "--graph", str(path), "--reps", "20", "--seed", "1"]
+        assert dispatch(argv) == 0, (entry.name, capsys.readouterr().err)
+
+
 def test_simulate_csv(fan_path, tmp_path):
     out = tmp_path / "reps.csv"
     assert dispatch(["simulate", "--graph", fan_path, "--reps", "10", "--seed", "1",

@@ -123,6 +123,12 @@ def test_classify_spec_shapes():
     assert "strongly connected" in cls.reason
 
 
+def test_classify_is_kept_on_the_graph():
+    g = build_graph(["1", "t"], [("1", "1"), ("1", "t")], {"t": 1})
+    assert classify(g) is classify(g)
+    assert g.terminals is g.terminals and g.nonterminals is g.nonterminals
+
+
 def test_classify_stable_under_relabeling(corpus):
     for entry in corpus:
         g = entry.graph

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import support
 from pathwager import (
     analyze,
     build_graph,
@@ -249,3 +250,12 @@ def test_analyze_report_shapes():
     report = analyze(solve(window))
     doc = report.to_dict(window)
     assert "invariant_measure" in doc and "steady_fortune_shape" in doc
+
+
+def test_corpus_fails_when_no_graph_passes(monkeypatch):
+    # a broken stopping series rejects every terminating graph; the corpus
+    # build must then fail, not redraw forever
+    monkeypatch.setattr(support, "_CORPUS", None)
+    monkeypatch.setattr(support, "_converges_fast", lambda graph: False)
+    with pytest.raises(RuntimeError, match="'term'"):
+        support.full_corpus()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pathwager import (
     step_uniforms,
     stopping_analysis,
 )
+from pathwager.simulate import _philox_block
 
 
 def fan(values):
@@ -98,22 +100,85 @@ def test_play_step_deterministic_fortune_fan24():
     assert seen == {1, 2}  # both choices occur, same payoff either way
 
 
+def scalar_walk(config, rep):
+    """Nodes reached, and the final fortune, of replication ``rep`` played one
+    ``play_step`` at a time."""
+    g = config.graph
+    rng = StepRng(seed=config.seed, rep=rep)
+    node, fortune, nodes = config.start, 1.0, []
+    while not g.is_terminal(node) and rng.step < config.max_steps:
+        node, fortune = play_step(g, config.profile, node, fortune, rng)
+        nodes.append(node)
+    return nodes, fortune
+
+
 def test_run_matches_scalar_play(terminating_corpus):
-    for entry in terminating_corpus[:6]:
-        g = entry.graph
+    # the 1000-leaf fan takes 10 bisection rounds per pick
+    games = [(e.name, e.graph) for e in terminating_corpus[:6]]
+    games.append(("fan1000", fan([1 + k % 7 for k in range(1000)])))
+    for name, g in games:
         if not g.nonterminals:
             continue
         config, _ = optimal_config(g, replications=50, seed=11)
         result = run(config)
         for rep in (0, 17, 49):
-            rng = StepRng(seed=11, rep=rep)
-            node, fortune = config.start, 1.0
-            while not g.is_terminal(node) and rng.step < config.max_steps:
-                node, fortune = play_step(g, config.profile, node, fortune, rng)
-            assert fortune == result.final_fortunes[rep], entry.name
-            if g.is_terminal(node):
-                assert rng.step == result.stopping_times[rep]
-                assert node == result.terminal_nodes[rep]
+            nodes, fortune = scalar_walk(config, rep)
+            assert fortune == result.final_fortunes[rep], name
+            if g.is_terminal(nodes[-1]):
+                assert len(nodes) == result.stopping_times[rep]
+                assert nodes[-1] == result.terminal_nodes[rep]
+    for n, k in ((3, 1), (12, 3)):
+        config, _ = optimal_config(build_window_game(n, k), replications=50, seed=11,
+                                   max_steps=60, checkpoints=(1, 7, 60))
+        result = run(config)
+        for rep in (0, 17, 49):
+            nodes, _ = scalar_walk(config, rep)
+            for t, (states, _) in result.checkpoints.items():
+                assert states[rep] == nodes[t - 1], (n, k, rep, t)
+
+
+def test_run_matches_scalar_play_past_the_cdf_end():
+    # a CDF row can end below u (by rounding; here every row sums to 1/2):
+    # both picks then take the last successor, also on a row shorter than
+    # the longest, whose bisection idles for a round
+    g = build_graph(["r", "x", "a", "b", "c", "d", "e"],
+                    [("r", "x"), ("r", "a"), ("r", "b"), ("r", "c"), ("x", "d"), ("x", "e")],
+                    {lab: 2 for lab in "abcde"})
+    rows = {0: np.full(4, 0.125), 1: np.full(2, 0.25)}
+    profile = StrategyProfile(beta=1.0, chooser=rows, guesser=rows,
+                              wagers={0: 0.5, 1: 0.5}, p_min={0: 0.125, 1: 0.25})
+    config = SimulationConfig(graph=g, profile=profile, start=0, replications=400, seed=5)
+    result = run(config)
+    assert (result.terminal_nodes == g.index_of("e")).any()
+    for rep in range(400):
+        nodes, fortune = scalar_walk(config, rep)
+        assert (nodes[-1], fortune) == (result.terminal_nodes[rep], result.final_fortunes[rep])
+
+
+def test_run_memory_is_linear_in_edges():
+    # one node of out-degree 5000: a padded (N, d_max) float table of the
+    # CDFs would take 5001 * 5000 * 8 bytes, 200 MB
+    config, _ = optimal_config(fan([1 + k % 7 for k in range(5000)]), replications=1000)
+    tracemalloc.start()
+    try:
+        result = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.stopping_times == 1).all()
+    assert peak < 10 * 2**20, peak
+
+
+@pytest.mark.parametrize("counter, key, words", [
+    ((0, 0, 0, 0), (0, 0), "6627e8d5 e169c58d bc57ac4c 9b00dbd8"),
+    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, "408f276d 41c83b0e a20bc7c6 6d5451fd"),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+     "d16cfe09 94fdcceb 5001e420 24126ea1"),
+])
+def test_philox_known_answers(counter, key, words):
+    # the Random123 known-answer vectors for Philox4x32-10
+    block = _philox_block(*(np.array([c], dtype=np.uint32) for c in counter), *key)
+    assert " ".join(f"{int(w[0]):08x}" for w in block) == words
 
 
 def test_run_is_bit_deterministic():
