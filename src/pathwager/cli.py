@@ -52,7 +52,7 @@ def _load_graph(path: str) -> GameGraph:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
@@ -63,25 +63,22 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _manifest(args, subcommand: str, extra: dict | None = None) -> RunManifest:
-    config = {
-        k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
-    }
-    if extra:
-        config.update(extra)
-    digests = {}
-    graph_path = config.get("graph")
-    if graph_path and os.path.exists(graph_path):
-        digests[graph_path] = _digest(graph_path)
-    return RunManifest(
-        subcommand=subcommand,
-        config={k: v for k, v in sorted(config.items())},
-        input_digests=digests,
+def _emit(report: dict, args, **extra) -> None:
+    """Attach the run manifest and write the report as JSON.
+
+    The manifest's config holds every parsed option that is set, overridden
+    by ``extra`` (values the handler resolved, such as the seed).  Every
+    caller has loaded ``args.graph``.
+    """
+    config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    config.update(extra)
+    manifest = RunManifest(
+        subcommand=args.subcommand,
+        config=dict(sorted(config.items())),
+        input_digests={args.graph: _digest(args.graph)},
         seed=config.get("seed"),
     )
-
-
-def _emit(report: dict, args) -> None:
+    report["manifest"] = asdict(manifest)
     _write(json.dumps(report, indent=2, default=_jsonable), args)
 
 
@@ -115,7 +112,6 @@ def _cmd_solve(args) -> int:
     if args.truncate is not None:
         series = _truncation_series(solution, args.truncate)
         report["residuals"] = series.residuals.tolist()
-    report["manifest"] = asdict(_manifest(args, "solve"))
     _emit(report, args)
     return 0
 
@@ -125,7 +121,6 @@ def _cmd_strategy(args) -> int:
     solution = solve(graph)
     profile = build_profile(solution, graph, beta=args.beta)
     report = profile.to_dict(graph)
-    report["manifest"] = asdict(_manifest(args, "strategy"))
     _emit(report, args)
     return 0
 
@@ -143,7 +138,6 @@ def _cmd_analyze(args) -> int:
         _write("\n".join(lines), args)
         return 0
     report = report_obj.to_dict(graph)
-    report["manifest"] = asdict(_manifest(args, "analyze"))
     _emit(report, args)
     return 0
 
@@ -157,7 +151,7 @@ def _cmd_simulate(args) -> int:
     discount = None
     horizon = args.horizon
     if solution.graph_class.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
-        discount = solution.spectral.discount
+        discount = solution.spectral.radius
         if horizon is None:
             horizon = 100  # exact horizon; every replication runs this long
     elif horizon is None:
@@ -193,9 +187,8 @@ def _cmd_simulate(args) -> int:
         "summary": result.summary(),
         "start": graph.labels[start],
         "value_at_start": float(solution.values[start]),
-        "manifest": asdict(_manifest(args, "simulate", {"seed": seed})),
     }
-    _emit(report, args)
+    _emit(report, args, seed=seed)
     return 0
 
 
@@ -214,7 +207,6 @@ def _cmd_verify(args) -> int:
         graph, solution, betas=betas, grid=args.grid, depth=args.depth
     )
     report = certificate.to_dict()
-    report["manifest"] = asdict(_manifest(args, "verify"))
     _emit(report, args)
     return 0 if certificate.passed else 2
 
@@ -366,9 +358,7 @@ def _cmd_play(args) -> int:
     seed = _resolve_seed(args)
     transcript = play_repl(graph, args.side, beta=args.beta, seed=seed)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(transcript, fh, indent=2)
-            fh.write("\n")
+        _write(json.dumps(transcript, indent=2), args)
     return 0
 
 
@@ -383,10 +373,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pathwager {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, graph_required=True):
-        p.add_argument("--graph", required=graph_required, help="game graph JSON file")
+    # each subcommand declares only the options its handler reads
+    def common(p):
+        p.add_argument("--graph", required=True, help="game graph JSON file")
         p.add_argument("--out", help="write the report to this file instead of stdout")
+
+    def output_format(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
 
@@ -404,11 +399,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="Markov dynamics under optimal play")
     common(p)
+    output_format(p)
     p.add_argument("--tmax", type=int, default=500, help="stopping-time horizon")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="Monte Carlo play")
     common(p)
+    output_format(p)
+    seed(p)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--horizon", type=int, default=None,
@@ -433,6 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("play", help="interactive match against the optimal opponent")
     common(p)
+    seed(p)
     p.add_argument("--as", dest="side", choices=("chooser", "guesser"), required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.set_defaults(func=_cmd_play)
@@ -445,11 +444,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once; each parse_args call fills a fresh Namespace
+
+
 def dispatch(argv=None) -> int:
     """Run one subcommand; returns the exit code (0 ok, 1 input error, 2 verify fail)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags; that code is ours
         return 0 if exc.code == 0 else 1
     try:

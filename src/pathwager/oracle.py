@@ -15,6 +15,7 @@ independent check on the numerical solvers.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -129,9 +130,9 @@ def _order_from(transitions: list[dict[str, int]], start: int) -> list[int]:
     """BFS order from the start, truth-edge before lie-edge."""
     order = [start]
     seen = {start}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         for sym in (TRUTH, LIE):
             t = transitions[s].get(sym)
             if t is not None and t not in seen:
@@ -181,9 +182,9 @@ def build_window_game(n: int, k: int) -> GameGraph:
     start_hist = (0,) * (n - 1)
     index = {start_hist: 0}
     transitions: list[dict[str, int]] = [{}]
-    queue = [start_hist]
+    queue = deque([start_hist])
     while queue:
-        hist = queue.pop(0)
+        hist = queue.popleft()
         s = index[hist]
         moves = [(TRUTH, hist[1:] + (0,) if n > 1 else ())]
         if sum(hist) + 1 <= k:

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import GameGraph, GraphKind, classify
-from .strategy import StrategyProfile
+from .strategy import StrategyProfile, build_profile
 from .values import GameSolution, UnsupportedGraphError
 
 _PHILOX_M0 = np.uint64(0xD2511F53)
@@ -375,8 +375,6 @@ def exploit_search(
     explicit (possibly off-equilibrium) profile is supplied; the gain is
     always reported relative to the game value.
     """
-    from .strategy import build_profile
-
     if fixed_side not in ("chooser", "guesser"):
         raise ValueError("fixed_side must be 'chooser' or 'guesser'")
     if not solution.graph_class.is_terminating:

@@ -43,7 +43,6 @@ class StrategyProfile:
     chooser: dict[int, np.ndarray]
     guesser: dict[int, np.ndarray]
     wagers: dict[int, float]
-    p_min: dict[int, float]
 
     def to_dict(self, graph: GameGraph) -> dict:
         nodes = {}
@@ -67,7 +66,6 @@ def build_profile(solution: GameSolution, graph: GameGraph, beta: float = 1.0) -
     chooser: dict[int, np.ndarray] = {}
     guesser: dict[int, np.ndarray] = {}
     wagers: dict[int, float] = {}
-    p_min: dict[int, float] = {}
     for i in graph.nonterminals:
         succ = graph.successors[i]
         n = len(succ)
@@ -75,7 +73,6 @@ def build_profile(solution: GameSolution, graph: GameGraph, beta: float = 1.0) -
             chooser[i] = np.array([1.0])
             guesser[i] = np.array([1.0])
             wagers[i] = 1.0
-            p_min[i] = 1.0
             continue
         weights = u[list(succ)]
         p = weights / weights.sum()
@@ -94,9 +91,7 @@ def build_profile(solution: GameSolution, graph: GameGraph, beta: float = 1.0) -
         chooser[i] = p
         guesser[i] = g
         wagers[i] = w
-        p_min[i] = pmin
-    return StrategyProfile(beta=float(beta), chooser=chooser, guesser=guesser,
-                           wagers=wagers, p_min=p_min)
+    return StrategyProfile(beta=float(beta), chooser=chooser, guesser=guesser, wagers=wagers)
 
 
 def _clamped(g: np.ndarray, where: str) -> np.ndarray:

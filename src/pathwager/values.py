@@ -108,7 +108,6 @@ class SpectralData:
     radius: float               # maximal eigenvalue r, in [1/2, 1]
     right_vec: np.ndarray       # strictly positive, M x = r x
     left_vec: np.ndarray        # strictly positive, M^T y = r y
-    discount: float             # optimal per-step discount factor, = radius
 
 
 @dataclass
@@ -139,7 +138,7 @@ class GameSolution:
                 doc["reciprocal_values"][lab] = float(self.reciprocals[i])
         if self.spectral is not None:
             doc["r"] = self.spectral.radius
-            doc["discount"] = self.spectral.discount
+            doc["discount"] = self.spectral.radius  # the optimal per-step discount is r
         return doc
 
 
@@ -335,7 +334,7 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
     u = x * (y.sum() / (x @ y))
     if np.any(u <= 0) or np.any(x <= 0) or np.any(y <= 0):
         raise ConvergenceError("Perron vectors are not strictly positive")
-    spectral = SpectralData(radius=radius, right_vec=x, left_vec=y, discount=radius)
+    spectral = SpectralData(radius=radius, right_vec=x, left_vec=y)
     return GameSolution(graph, cls, 1.0 / u, u, edges, spectral=spectral)
 
 

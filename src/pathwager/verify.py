@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import GameGraph, GraphKind, classify
+from .simulate import exploit_search
 from .strategy import StrategyProfile
 from .values import (
     GameSolution,
@@ -314,8 +315,8 @@ def certify_graph(
     graphs) under each beta, and the backward-induction bracket on small
     graphs.
     """
-    from .simulate import exploit_search
-
+    if grid < 1:
+        raise ValueError(f"the wager grid needs at least 1 point, got {grid}")
     checks: list[CheckResult] = []
     max_c = max_g = 0.0
 

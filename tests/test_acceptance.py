@@ -174,8 +174,7 @@ def test_criterion_07_equilibrium_certificates():
                     skew[pos] += delta
                     skew /= skew.sum()
                     bad = StrategyProfile(beta=1.0, chooser={root: skew},
-                                          guesser=base.guesser, wagers=base.wagers,
-                                          p_min=base.p_min)
+                                          guesser=base.guesser, wagers=base.wagers)
                     report = exploit_search(g, sol, fixed_side="chooser", profile=bad)
                     assert report.gain > 1e-4, (entry.name, pos, delta)
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, manifests, the REPL."""
 
+import argparse
 import io
 import json
 import os
@@ -44,6 +45,16 @@ def test_solve_reports_values_and_class(fan_path, capsys):
     assert fan_path in doc["manifest"]["input_digests"]
 
 
+@pytest.mark.parametrize("command", ["solve", "strategy", "analyze", "simulate", "verify"])
+def test_every_report_carries_its_manifest(command, fan_path, capsys):
+    code, doc = run_json([command, "--graph", fan_path], capsys)
+    assert code == 0
+    manifest = doc["manifest"]
+    assert manifest["subcommand"] == command == manifest["config"]["subcommand"]
+    assert fan_path in manifest["input_digests"]
+    assert ("format" in manifest["config"]) == (command in ("analyze", "simulate"))
+
+
 def test_solve_exact_and_truncate(fan_path, capsys):
     code, doc = run_json(["solve", "--graph", fan_path, "--exact", "--truncate", "4"], capsys)
     assert code == 0
@@ -69,6 +80,61 @@ def test_bad_flags_are_input_errors(capsys):
     assert dispatch(["--help"]) == 0
     assert dispatch(["--version"]) == 0
     capsys.readouterr()
+
+
+def test_dispatch_builds_no_parser(fan_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert dispatch(["solve", "--graph", fan_path]) == 0
+    assert dispatch(["analyze", "--graph", fan_path, "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+# the options that every subcommand used to declare and these handlers never read
+REMOVED_OPTIONS = (
+    [(cmd, "--format", "csv") for cmd in ("solve", "strategy", "verify", "play", "export-dot")]
+    + [(cmd, "--seed", "1") for cmd in ("solve", "strategy", "analyze", "verify", "export-dot")]
+)
+
+
+@pytest.mark.parametrize("command, option, value", REMOVED_OPTIONS)
+def test_options_no_handler_reads_are_rejected(command, option, value, fan_path, capsys):
+    extra = ["--as", "chooser"] if command == "play" else []
+    assert dispatch([command, "--graph", fan_path, *extra, option, value]) == 1
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--reps", "20", "--seed", "3", "--horizon", "50", "--format", "csv",
+     "--beta", "0.5"],
+    ["analyze", "--format", "csv", "--tmax", "20"],
+    ["play", "--as", "chooser", "--seed", "2"],
+    ["solve", "--exact", "--truncate", "5"],
+    ["strategy", "--beta", "0.5"],
+    ["export-dot", "--beta", "0.5"],
+])
+def test_benchmark_options_are_accepted(argv, fan_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))
+    assert dispatch([argv[0], "--graph", fan_path, *argv[1:]]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_rejects_an_empty_wager_grid(tmp_path, fan_path, capsys):
+    forced = tmp_path / "forced.json"
+    forced.write_text('{"nodes":["r","m","a","b"],"edges":[["r","m"],["m","a"],["m","b"]],'
+                      '"values":{"a":2,"b":4}}')
+    for path in (str(forced), fan_path):
+        assert dispatch(["verify", "--graph", path, "--grid", "0"]) == 1
+        assert "wager grid needs at least 1 point" in capsys.readouterr().err
+        assert dispatch(["verify", "--graph", path, "--grid", "1"]) == 0
+        capsys.readouterr()
 
 
 def test_strategy_profile_schema(fan_path, capsys):

@@ -40,7 +40,7 @@ def optimal_config(graph, beta=1.0, **kwargs):
     defaults = dict(graph=graph, profile=profile, start=graph.nonterminals[0] if graph.nonterminals else 0,
                     replications=1000, seed=7)
     if sol.spectral is not None:
-        defaults["discount"] = sol.spectral.discount
+        defaults["discount"] = sol.spectral.radius
         defaults["max_steps"] = 200
     defaults.update(kwargs)
     return SimulationConfig(**defaults), sol
@@ -146,7 +146,7 @@ def test_run_matches_scalar_play_past_the_cdf_end():
                     {lab: 2 for lab in "abcde"})
     rows = {0: np.full(4, 0.125), 1: np.full(2, 0.25)}
     profile = StrategyProfile(beta=1.0, chooser=rows, guesser=rows,
-                              wagers={0: 0.5, 1: 0.5}, p_min={0: 0.125, 1: 0.25})
+                              wagers={0: 0.5, 1: 0.5})
     config = SimulationConfig(graph=g, profile=profile, start=0, replications=400, seed=5)
     result = run(config)
     assert (result.terminal_nodes == g.index_of("e")).any()
@@ -279,7 +279,6 @@ def test_censoring_warns_and_excludes():
         chooser={0: np.array([1.0, 0.0])},
         guesser={0: np.array([1.0, 0.0])},
         wagers={0: 0.0},
-        p_min={0: 0.0},
     )
     config = SimulationConfig(graph=g, profile=sticky, start=0, replications=50,
                               max_steps=64, seed=1)
@@ -321,8 +320,7 @@ def test_exploit_search_detects_perturbed_chooser():
     profile = build_profile(sol, g, beta=1.0)
     skew = profile.chooser[0] + np.array([0.01, -0.01])
     bad = StrategyProfile(beta=1.0, chooser={0: skew / skew.sum()},
-                          guesser=profile.guesser, wagers=profile.wagers,
-                          p_min=profile.p_min)
+                          guesser=profile.guesser, wagers=profile.wagers)
     report = exploit_search(g, sol, fixed_side="chooser", profile=bad)
     assert report.gain > 1e-4
 

@@ -150,7 +150,6 @@ def test_guess_distribution_paths():
         chooser={0: np.array([0.5, 0.5])},
         guesser={0: np.array([1.2, -0.2])},
         wagers={0: 0.5},
-        p_min={0: 0.5},
     )
     with pytest.raises(StrategyError):
         guess_distribution(bad, 0)

@@ -43,7 +43,6 @@ def test_certify_fan_flags_bad_wager():
         chooser={0: np.array([2 / 3, 1 / 3])},
         guesser={0: np.array([1.0, 0.0])},
         wagers={0: 0.9},
-        p_min={0: 1 / 3},
     )
     cert = certify_fan([2, 4], bad)
     assert not cert.passed
@@ -96,8 +95,7 @@ def test_perturbation_sensitivity_on_fans(fan_corpus):
                 skew[pos] += delta
                 skew /= skew.sum()
                 bad = StrategyProfile(beta=1.0, chooser={root: skew},
-                                      guesser=base.guesser, wagers=base.wagers,
-                                      p_min=base.p_min)
+                                      guesser=base.guesser, wagers=base.wagers)
                 report = exploit_search(g, sol, fixed_side="chooser", profile=bad)
                 assert report.gain > 1e-4, (entry.name, pos, delta)
 
