@@ -463,7 +463,7 @@ def dispatch(argv=None) -> int:
         ConvergenceError,
         FileNotFoundError,
         ValueError,
-        MemoryError,  # a huge dense block or occupancy matrix; numpy's message has the size
+        MemoryError,  # a huge dense block; numpy's message has the size
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,20 +38,21 @@ from .values import GameSolution, UnsupportedGraphError
 _PHILOX_M0 = np.uint64(0xD2511F53)
 _PHILOX_M1 = np.uint64(0xCD9E8D57)
 _LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 _DEFAULT_MAX_STEPS = 10**5
 _CENSOR_WARN_RATE = 0.01
 
 
 def _philox_block(c0, c1, c2, c3, k0: int, k1: int):
-    """One Philox 4x32-10 block per counter entry; counters are uint32 arrays."""
+    """One Philox 4x32-10 block per counter entry.
+
+    Each 32-bit word is held in uint64, as an array or as a scalar that
+    broadcasts, so the 32x32-bit products are exact and no round casts.
+    """
     for _ in range(10):
-        prod0 = _PHILOX_M0 * c0.astype(np.uint64)
-        prod1 = _PHILOX_M1 * c2.astype(np.uint64)
-        hi0 = (prod0 >> np.uint64(32)).astype(np.uint32)
-        lo0 = (prod0 & _LO32).astype(np.uint32)
-        hi1 = (prod1 >> np.uint64(32)).astype(np.uint32)
-        lo1 = (prod1 & _LO32).astype(np.uint32)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint32(k0), lo1, hi0 ^ c3 ^ np.uint32(k1), lo0
+        prod0, prod1 = _PHILOX_M0 * c0, _PHILOX_M1 * c2
+        c0, c1 = (prod1 >> _SHIFT32) ^ c1 ^ np.uint64(k0), prod1 & _LO32
+        c2, c3 = (prod0 >> _SHIFT32) ^ c3 ^ np.uint64(k1), prod0 & _LO32
         k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
         k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
     return c0, c1, c2, c3
@@ -65,16 +66,13 @@ def step_uniforms(seed: int, reps: np.ndarray, step: int) -> tuple[np.ndarray, n
     Each uniform packs 53 bits from two 32-bit output words.
     """
     reps = np.asarray(reps, dtype=np.uint64)
-    c0 = np.full(reps.shape, np.uint32(step & 0xFFFFFFFF), dtype=np.uint32)
-    c1 = (reps & _LO32).astype(np.uint32)
-    c2 = (reps >> np.uint64(32)).astype(np.uint32)
-    c3 = np.zeros(reps.shape, dtype=np.uint32)
     seed = seed % (1 << 64)
-    w0, w1, w2, w3 = _philox_block(c0, c1, c2, c3, seed & 0xFFFFFFFF, seed >> 32)
-    u1 = ((w0 >> np.uint32(5)).astype(np.float64) * 67108864.0
-          + (w1 >> np.uint32(6)).astype(np.float64)) / 9007199254740992.0
-    u2 = ((w2 >> np.uint32(5)).astype(np.float64) * 67108864.0
-          + (w3 >> np.uint32(6)).astype(np.float64)) / 9007199254740992.0
+    w0, w1, w2, w3 = _philox_block(
+        np.uint64(step & 0xFFFFFFFF), reps & _LO32, reps >> _SHIFT32, np.uint64(0),
+        seed & 0xFFFFFFFF, seed >> 32,
+    )
+    u1 = (((w0 >> np.uint64(5)) << np.uint64(26)) | (w1 >> np.uint64(6))) / 9007199254740992.0
+    u2 = (((w2 >> np.uint64(5)) << np.uint64(26)) | (w3 >> np.uint64(6))) / 9007199254740992.0
     return u1, u2
 
 
@@ -102,7 +100,7 @@ class SimulationConfig:
     seed: int = 0
     discount: Optional[float] = None
     checkpoints: Optional[tuple[int, ...]] = None
-    track_occupancy: bool = True
+    track_occupancy: bool = False  # also keep the reps x N visit matrix
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -129,7 +127,8 @@ class SimulationResult:
     terminal_nodes: np.ndarray            # -1 where censored or non-terminating
     censored: np.ndarray
     checkpoints: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    occupancy: Optional[np.ndarray] = None  # visit counts per (replication, node)
+    visits: Optional[np.ndarray] = None     # visit counts per node (strongly connected)
+    occupancy: Optional[np.ndarray] = None  # visit counts per (replication, node), on request
     warnings: list = field(default_factory=list)
 
     def summary(self) -> dict:
@@ -145,11 +144,8 @@ class SimulationResult:
                     "mean": float(fortune.mean()),
                     "se": _se(fortune),
                 }
-            if self.occupancy is not None:
-                freq = self.occupancy.sum(axis=0) / self.occupancy.sum()
-                out["occupancy"] = {
-                    lab: float(f) for lab, f in zip(graph.labels, freq)
-                }
+            freq = self.visits / self.visits.sum()
+            out["occupancy"] = {lab: float(f) for lab, f in zip(graph.labels, freq)}
         else:
             live = ~self.censored
             out["censored"] = int(self.censored.sum())
@@ -239,7 +235,8 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
 
     Replications drop out at a terminal and are censored if still live after
     max_steps.  Strongly connected games (where none drops out) are discounted
-    every step and record checkpoints and occupancy; terminating games pass
+    every step and record checkpoints and per-node visit counts (per
+    replication too if the config asks for it); terminating games pass
     ``discount`` = 1.0, by which multiplying is exact.
     """
     graph, reps = config.graph, config.replications
@@ -252,6 +249,7 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
     fortune = np.ones(reps)
     stop_time = np.full(reps, config.max_steps, dtype=np.int64)
     terminal_node = np.full(reps, -1, dtype=np.int64)
+    visits = np.zeros(graph.num_nodes, dtype=np.int64) if horizon else None
     track = horizon and config.track_occupancy
     occupancy = np.zeros((reps, graph.num_nodes), dtype=np.int64) if track else None
     records: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -268,6 +266,8 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
         nxt = dst[choice]
         fortune[active] *= discount * np.where(guess == choice, win[nodes], lose[nodes])
         state[active] = nxt
+        if horizon:
+            visits += np.bincount(nxt, minlength=graph.num_nodes)
         if occupancy is not None:
             occupancy[active, nxt] += 1
         if t + 1 in checkpoints:
@@ -284,7 +284,8 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
     censored[active] = not horizon  # a fixed horizon censors no replication
     result = SimulationResult(
         config=config, kind=kind, final_fortunes=fortune, stopping_times=stop_time,
-        terminal_nodes=terminal_node, censored=censored, checkpoints=records, occupancy=occupancy,
+        terminal_nodes=terminal_node, censored=censored, checkpoints=records, visits=visits,
+        occupancy=occupancy,
     )
     rate = censored.mean()
     if rate > _CENSOR_WARN_RATE:
@@ -377,6 +378,8 @@ def exploit_search(
     """
     if fixed_side not in ("chooser", "guesser"):
         raise ValueError("fixed_side must be 'chooser' or 'guesser'")
+    if grid < 1:
+        raise ValueError(f"the wager grid needs at least 1 point, got {grid}")
     if not solution.graph_class.is_terminating:
         raise UnsupportedGraphError("exploit search requires a terminating graph")
     if profile is None:

@@ -154,6 +154,7 @@ def brute_force_value(
     under-estimates, so the true value stays inside the bracket.  Starting
     anchors are rigid bounds: v_min(terminals) and N^N * v_max(terminals).
     """
+    _check_sweeps(wager_grid, depth_limit)
     if not classify(graph).is_terminating:
         raise UnsupportedGraphError("brute force bounds require a terminating graph")
     n_nodes = graph.num_nodes
@@ -181,6 +182,13 @@ def brute_force_value(
             converged = True
             break
     return BruteForceBounds(lower=lower, upper=upper, depth=depth_limit, converged=converged)
+
+
+def _check_sweeps(grid: int, depth: int) -> None:
+    if grid < 1:
+        raise ValueError(f"the wager grid needs at least 1 point, got {grid}")
+    if depth < 1:
+        raise ValueError(f"the backward-induction depth must be at least 1, got {depth}")
 
 
 def _fan_value(vals: np.ndarray) -> float:
@@ -315,8 +323,7 @@ def certify_graph(
     graphs) under each beta, and the backward-induction bracket on small
     graphs.
     """
-    if grid < 1:
-        raise ValueError(f"the wager grid needs at least 1 point, got {grid}")
+    _check_sweeps(grid, depth)  # before the audit, on every graph class
     checks: list[CheckResult] = []
     max_c = max_g = 0.0
 

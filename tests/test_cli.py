@@ -137,6 +137,18 @@ def test_verify_rejects_an_empty_wager_grid(tmp_path, fan_path, capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_verify_rejects_a_depth_below_one(depth, tmp_path, capsys):
+    # the bracket check used to pass vacuously: no sweep compared the rigid anchors
+    forced = tmp_path / "forced.json"
+    forced.write_text('{"nodes":["r","m","a","b"],"edges":[["r","m"],["m","a"],["m","b"]],'
+                      '"values":{"a":2,"b":4}}')
+    assert dispatch(["verify", "--graph", str(forced), "--depth", depth]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"depth must be at least 1, got {depth}" in err
+    assert dispatch(["verify", "--graph", str(forced), "--depth", "1"]) == 0
+
+
 def test_strategy_profile_schema(fan_path, capsys):
     code, doc = run_json(["strategy", "--graph", fan_path, "--beta", "1"], capsys)
     assert code == 0

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,9 +228,29 @@ def test_sc_checkpoints_stable():
     assert abs(m50 - m100) <= 3 * se
 
 
+def test_sc_occupancy_memory_is_linear_in_nodes():
+    # the per-node counts need O(N); the reps x N matrix, kept only on request,
+    # would take 10^5 * 220 * 8 bytes, 176 MB
+    g = build_window_game(12, 3)
+    config, _ = optimal_config(g, replications=100000, max_steps=1)
+    tracemalloc.start()
+    try:
+        result = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.occupancy is None and result.visits.sum() == 100000
+    assert peak < 32 * 2**20, peak  # about 14 MB: a dozen replication-length arrays
+    config = replace(config, replications=500, max_steps=50)
+    counted, kept = run(config), run(replace(config, track_occupancy=True))
+    assert np.array_equal(kept.occupancy.sum(axis=0), counted.visits)
+    assert json.dumps(kept.summary()) == json.dumps(counted.summary())
+
+
 def test_sc_occupancy_matches_invariant_measure():
     g = build_window_game(3, 1)
-    config, sol = optimal_config(g, replications=200, max_steps=10000, seed=17)
+    config, sol = optimal_config(g, replications=200, max_steps=10000, seed=17,
+                                 track_occupancy=True)
     result = run(config)
     mu = invariant_measure(sol)
     fractions = result.occupancy / result.occupancy.sum(axis=1, keepdims=True)

@@ -6,8 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
+import scipy.sparse.linalg
 
 import support
+from pathwager import values
+from pathwager.oracle import parse_oracle_spec
 from pathwager import (
     GraphKind,
     UnsupportedGraphError,
@@ -295,6 +299,77 @@ def test_solve_strongly_connected_window_roots():
         assert abs(sol.spectral.radius - lam_root(n) / 2) < 1e-12
     assert abs(lam_root(2) - PHI) < 1e-12
     assert abs(lam_root(3) - 1.4655712318767682) < 1e-10
+
+
+ONE_LIE_WINDOWS = (16, 30, 60, 200)
+
+
+@pytest.mark.parametrize("n", ONE_LIE_WINDOWS)
+def test_one_lie_window_radius_matches_closed_form(n):
+    # |lambda_2| / r reaches 0.9976 at n = 200, the slowest mixing these solves meet
+    sol = solve_strongly_connected(build_window_game(n, 1))
+    assert abs(sol.spectral.radius - lam_root(n) / 2) <= 2e-12
+
+
+@pytest.mark.parametrize("n", ONE_LIE_WINDOWS)
+def test_collatz_wielandt_bracket_holds_the_radius(n):
+    # min_i (Mx)_i / x_i <= r <= max_i (Mx)_i / x_i for any positive x
+    # (Meyer, Matrix Analysis, 8.3); one matvec, independent of the solver's tests
+    sol = solve_strongly_connected(build_window_game(n, 1))
+    e, x = sol.edges, sol.spectral.right_vec
+    ratio = e.matvec(x) / x
+    lo, hi = ratio.min(), ratio.max()
+    m = scipy.sparse.csr_matrix((e.weight, (e.src, e.dst)), shape=(e.size, e.size))
+    # every eigenvalue has modulus <= r <= 1, so r is the one nearest to 1: shift-invert
+    # at 1 finds it, where which="LM" converges to a wrong eigenvalue on n = 200
+    ref = scipy.sparse.linalg.eigs(m, k=1, sigma=1.0, return_eigenvectors=False)[0]
+    assert abs(ref.imag) <= 1e-12
+    ref = ref.real
+    assert lo <= ref <= hi
+    assert hi - lo <= 4e-12
+
+
+def _per_product_power_iteration(product, n):
+    """The same acceptance tests as ``values._power_iteration``, after every product."""
+    x = np.ones(n) / n
+    y = product(x)
+    r = float(x @ y / (x @ x))
+    best, since_improvement = np.inf, 0
+    for _ in range(values._MAX_POWER_ITERATIONS):
+        x_new = y / np.abs(y).sum()
+        y = product(x_new)
+        r_new = float(x_new @ y / (x_new @ x_new))
+        drift = float(np.abs(x_new - x).sum())
+        residual = float(np.abs(y - r_new * x_new).max())
+        x, r_prev, r = x_new, r, r_new
+        if residual < best:
+            best, since_improvement = residual, 0
+        else:
+            since_improvement += 1
+        settled = (abs(r - r_prev) <= values._EIGENVALUE_RTOL * abs(r)
+                   and drift <= values._EIGENVECTOR_TOL)
+        if settled and (residual <= values._RESIDUAL_TOL
+                        or since_improvement >= values._STAGNATION_WINDOW):
+            return
+    raise AssertionError("the per-product reference did not converge")
+
+
+@pytest.mark.parametrize("spec", ["window:60,1", "window:16,4"])
+def test_blocked_power_iteration_costs_few_extra_products(spec):
+    edges = values.EdgeList.of(parse_oracle_spec(spec).build())
+    for product in (edges.matvec, edges.rmatvec):
+        counts = []
+        for iterate in (values._power_iteration, _per_product_power_iteration):
+            count = [0]
+
+            def counted(v, product=product, count=count):
+                count[0] += 1
+                return product(v)
+
+            iterate(counted, edges.size)
+            counts.append(count[0])
+        blocked, per_product = counts
+        assert blocked <= 1.05 * per_product, (spec, blocked, per_product)
 
 
 def test_sc_eigen_identities(sc_corpus):

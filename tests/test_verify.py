@@ -142,6 +142,28 @@ def test_brute_force_requires_terminating():
         brute_force_value(build_window_game(2, 1))
 
 
+def forced_move():
+    return build_graph(["r", "m", "a", "b"], [("r", "m"), ("m", "a"), ("m", "b")],
+                       {"a": 2, "b": 4})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"wager_grid": 0}, "wager grid needs at least 1 point, got 0"),
+    ({"depth_limit": 0}, "depth must be at least 1, got 0"),
+    ({"depth_limit": -1}, "depth must be at least 1, got -1"),
+])
+def test_brute_force_rejects_empty_sweeps(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        brute_force_value(forced_move(), **kwargs)
+
+
+@pytest.mark.parametrize("side", ["chooser", "guesser"])
+def test_exploit_search_rejects_an_empty_wager_grid(side):
+    g = forced_move()
+    with pytest.raises(ValueError, match="wager grid needs at least 1 point, got 0"):
+        exploit_search(g, solve(g), fixed_side=side, grid=0)
+
+
 def test_audit_convergence_fan_is_exact():
     cert = audit_convergence(fan24(), steps=1)
     assert cert.passed
