@@ -203,9 +203,7 @@ def _cmd_verify(args) -> int:
     graph = _load_graph(args.graph)
     solution = solve(graph)
     betas = (args.beta,) if args.beta is not None else (0.0, 0.5, 1.0)
-    certificate = certify_graph(
-        graph, solution, betas=betas, grid=args.grid, depth=args.depth
-    )
+    certificate = certify_graph(graph, solution, betas=betas, depth=args.depth)
     report = certificate.to_dict()
     _emit(report, args)
     return 0 if certificate.passed else 2
@@ -426,7 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None,
                    help="certify a single beta (default: 0, 0.5, 1)")
     p.add_argument("--depth", type=int, default=60)
-    p.add_argument("--grid", type=int, default=1001)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("play", help="interactive match against the optimal opponent")

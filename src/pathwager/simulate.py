@@ -214,6 +214,26 @@ def _multipliers(n: int, w: float) -> tuple[float, float]:
     return 1.0 + max(n - 1, 1) * w, 1.0 - w
 
 
+def _move_payoffs(g: np.ndarray, w: float, cont: np.ndarray) -> np.ndarray:
+    """The guesser's expected fortune for each chooser move, when she guesses
+    by the mix g and wagers w, and successor j is worth cont_j."""
+    win, lose = _multipliers(len(cont), w)
+    return (g * win + (1.0 - g) * lose) * cont
+
+
+def _best_reply(p: np.ndarray, cont: np.ndarray) -> tuple[int, float]:
+    """The guesser's best (guess, wager = 1) against the chooser mix p, and its worth.
+
+    Her payoff (1 - w) p.cont + w n p_j cont_j is linear in w, and the mean
+    of n p_j cont_j over j is p.cont, so staking everything on the largest
+    p_j cont_j is a best reply.  On a forced move it doubles cont.
+    """
+    win, _ = _multipliers(len(cont), 1.0)
+    stake = p * cont
+    j = int(np.argmax(stake))
+    return j, win * float(stake[j])
+
+
 def run(config: SimulationConfig) -> SimulationResult:
     """Run all replications; deterministic given (seed, config)."""
     cls = classify(config.graph)
@@ -348,7 +368,7 @@ class ExploitReport:
     improvement over the game value across nodes (positive means the fixed
     profile is exploitable).  ``deviation`` maps each non-terminal node to
     the deviating action: a successor index (chooser) or a
-    (successor, wager) pair (guesser).
+    (successor, 1.0) guess-and-wager pair (guesser).
     """
 
     fixed_side: str
@@ -362,7 +382,6 @@ def exploit_search(
     graph: GameGraph,
     solution: GameSolution,
     fixed_side: str,
-    grid: int = 1001,
     beta: float = 1.0,
     profile: Optional[StrategyProfile] = None,
 ) -> ExploitReport:
@@ -370,22 +389,20 @@ def exploit_search(
 
     Uses exact expectation recursion (no sampling): dynamic-programming
     sweeps with the engine values as the tail, iterated to a fixed point.
-    The chooser deviates over pure successor choices; the guesser over
-    (successor, wager) pairs with wagers on a uniform grid in [0, 1].
-    The fixed side plays the limiting strategy at ``beta`` unless an
-    explicit (possibly off-equilibrium) profile is supplied; the gain is
-    always reported relative to the game value.
+    The chooser deviates over pure successor choices; the guesser's best
+    reply at a node stakes her whole fortune on one successor, which
+    ``_best_reply`` finds exactly.  The fixed side plays the limiting
+    strategy at ``beta`` unless an explicit (possibly off-equilibrium)
+    profile is supplied; the gain is always reported relative to the game
+    value.
     """
     if fixed_side not in ("chooser", "guesser"):
         raise ValueError("fixed_side must be 'chooser' or 'guesser'")
-    if grid < 1:
-        raise ValueError(f"the wager grid needs at least 1 point, got {grid}")
     if not solution.graph_class.is_terminating:
         raise UnsupportedGraphError("exploit search requires a terminating graph")
     if profile is None:
         profile = build_profile(solution, graph, beta=beta)
     values = solution.values.copy()
-    wagers = np.linspace(0.0, 1.0, grid)
     best_action: dict[int, object] = {}
     max_sweeps = 10 * graph.num_nodes + 50
     converged = False
@@ -393,33 +410,16 @@ def exploit_search(
         new = values.copy()
         for i in graph.nonterminals:
             succ = graph.successors[i]
-            n = len(succ)
             cont = values[list(succ)]
             if fixed_side == "guesser":
                 # chooser picks the successor minimizing her expected fortune
-                g = profile.guesser[i]
-                win, lose = _multipliers(n, profile.wagers[i])
-                per_move = (g * win + (1.0 - g) * lose) * cont
+                per_move = _move_payoffs(profile.guesser[i], profile.wagers[i], cont)
                 k = int(np.argmin(per_move))
                 new[i] = per_move[k]
                 best_action[i] = succ[k]
             else:
-                # guesser picks (guess, wager) maximizing expected fortune
-                p = profile.chooser[i]
-                base = float(p @ cont)
-                if n == 1:
-                    # forced move: best wager is the largest on the grid
-                    w = wagers[-1]
-                    new[i] = (1.0 + w) * cont[0]
-                    best_action[i] = (succ[0], float(w))
-                    continue
-                # value(j, w) = (1-w) * base + w * n * p_j * cont_j
-                stake = n * p * cont
-                j = int(np.argmax(stake))
-                vals_w = (1.0 - wagers) * base + wagers * stake[j]
-                k = int(np.argmax(vals_w))
-                new[i] = vals_w[k]
-                best_action[i] = (succ[j], float(wagers[k]))
+                j, new[i] = _best_reply(profile.chooser[i], cont)
+                best_action[i] = (succ[j], 1.0)
         if float(np.abs(new - values).max()) <= 1e-14 * max(1.0, float(np.abs(new).max())):
             values = new
             converged = True

@@ -2,8 +2,10 @@
 
 A solved game is certified by checking the saddle condition from both
 sides: against the guesser's profile every chooser move yields the game
-value, and against the chooser's mix no (guess, wager) pair beats it.
-Small terminating games are additionally bracketed by depth-limited
+value, and against the chooser's mix no (guess, wager) pair beats it.  Both
+deviation searches are exact: the guesser's payoff is linear in her wager,
+so her best reply stakes everything on one successor, and no wager grid is
+searched.  Small terminating games are additionally bracketed by depth-limited
 backward induction that is entirely independent of the linear-algebra
 solvers, and the limit theory is audited by raising the propagation
 matrix to a high power directly, by repeated squaring.
@@ -11,13 +13,14 @@ matrix to a high power directly, by repeated squaring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .graph import GameGraph, GraphKind, classify
-from .simulate import exploit_search
+from .simulate import _best_reply, _move_payoffs, exploit_search
 from .strategy import StrategyProfile
 from .values import (
     GameSolution,
@@ -67,13 +70,13 @@ class Certificate:
         }
 
 
-def certify_fan(values: Sequence[float], profile: StrategyProfile, grid: int = 1001) -> Certificate:
+def certify_fan(values: Sequence[float], profile: StrategyProfile) -> Certificate:
     """Equilibrium certificate for a one-level game with n >= 2 leaves.
 
     (a) every chooser move earns exactly the root value against the guesser
-    profile; (b) no (guess, wager) pair beats the root value against the
-    chooser mix, wagers on a uniform grid; (c) the per-move expectations
-    divided by the leaf values sum to n.
+    profile; (b) the guesser's exact best reply to the chooser mix, all in
+    on the largest p_j v_j, does not beat the root value; (c) the per-move
+    expectations divided by the leaf values sum to n.
     """
     vals = np.asarray(values, dtype=float)
     n = len(vals)
@@ -87,7 +90,7 @@ def certify_fan(values: Sequence[float], profile: StrategyProfile, grid: int = 1
     root_value = n / (1.0 / vals).sum()
 
     # (a) chooser side: E[F | move to j] = v_j (w (n g_j - 1) + 1)
-    per_move = vals * (w * (n * g - 1.0) + 1.0)
+    per_move = _move_payoffs(g, w, vals)
     chooser_gain = float(root_value - per_move.min())
     checks = [
         CheckResult(
@@ -97,11 +100,8 @@ def certify_fan(values: Sequence[float], profile: StrategyProfile, grid: int = 1
         )
     ]
 
-    # (b) guesser side: sweep the (guess, wager) grid against the chooser mix
-    wagers = np.linspace(0.0, 1.0, grid)
-    base = float(p @ vals)
-    stakes = n * p * vals
-    best = float(np.max((1.0 - wagers)[None, :] * base + wagers[None, :] * stakes[:, None]))
+    # (b) guesser side: her best reply against the chooser mix
+    _, best = _best_reply(p, vals)
     guesser_gain = float(best - root_value)
     checks.append(
         CheckResult(
@@ -141,29 +141,33 @@ class BruteForceBounds:
         return float((self.upper - self.lower).max())
 
 
-def brute_force_value(
-    graph: GameGraph, wager_grid: int = 1001, depth_limit: int = 60
-) -> BruteForceBounds:
+def brute_force_value(graph: GameGraph, depth_limit: int = 60) -> BruteForceBounds:
     """Bracket the game values without solving any linear system.
 
     Backward induction over the depth-limited game: each sweep replaces a
     node's bracket with the one-level game value over its successors'
-    brackets.  The upper sweep uses the exact one-level optimum; the lower
-    sweep restricts the guesser's wager to the grid and scores her
-    equalizing mix by its worst case against the chooser, which
-    under-estimates, so the true value stays inside the bracket.  Starting
-    anchors are rigid bounds: v_min(terminals) and N^N * v_max(terminals).
+    brackets.  The upper sweep uses the exact one-level optimum, the
+    harmonic mean; the lower sweep scores the guesser's all-in mix, g_j
+    proportional to 1/v_j at wager 1, by its worst case against the chooser,
+    which never over-states, so the true value stays inside the bracket.
+    Starting anchors are rigid bounds: v_min(terminals) and
+    N^N * v_max(terminals); a graph whose N^N * v_max overflows is refused.
     """
-    _check_sweeps(wager_grid, depth_limit)
+    _check_depth(depth_limit)
     if not classify(graph).is_terminating:
         raise UnsupportedGraphError("brute force bounds require a terminating graph")
     n_nodes = graph.num_nodes
     v_term = np.array([graph.values[k] for k in graph.terminals])
+    try:
+        anchor = float(n_nodes) ** n_nodes * float(v_term.max())
+    except OverflowError:
+        anchor = math.inf
+    if not math.isfinite(anchor):
+        raise ValueError(f"the upper anchor N^N * v_max is not finite at N = {n_nodes}")
     lower = np.full(n_nodes, float(v_term.min()))
-    upper = np.full(n_nodes, float(n_nodes) ** n_nodes * float(v_term.max()))
+    upper = np.full(n_nodes, anchor)
     for k in graph.terminals:
         lower[k] = upper[k] = graph.values[k]
-    wagers = np.linspace(0.0, 1.0, wager_grid)
 
     converged = False
     for _ in range(depth_limit):
@@ -172,7 +176,8 @@ def brute_force_value(
         for i in graph.nonterminals:
             succ = list(graph.successors[i])
             new_upper[i] = _fan_value(upper[succ])
-            new_lower[i] = _fan_value_grid(lower[succ], wagers)
+            inv = 1.0 / lower[succ]
+            new_lower[i] = _move_payoffs(inv / inv.sum(), 1.0, lower[succ]).min()
         shift = max(
             float(np.abs(new_lower - lower).max()),
             float(np.abs(new_upper - upper).max()),
@@ -184,9 +189,7 @@ def brute_force_value(
     return BruteForceBounds(lower=lower, upper=upper, depth=depth_limit, converged=converged)
 
 
-def _check_sweeps(grid: int, depth: int) -> None:
-    if grid < 1:
-        raise ValueError(f"the wager grid needs at least 1 point, got {grid}")
+def _check_depth(depth: int) -> None:
     if depth < 1:
         raise ValueError(f"the backward-induction depth must be at least 1, got {depth}")
 
@@ -195,30 +198,6 @@ def _fan_value(vals: np.ndarray) -> float:
     if len(vals) == 1:
         return 2.0 * float(vals[0])
     return len(vals) / float((1.0 / vals).sum())
-
-
-def _fan_value_grid(vals: np.ndarray, wagers: np.ndarray) -> float:
-    """Guesser's guaranteed one-level value with wagers restricted to a grid.
-
-    For each wager w she plays the equalizing mix, g_j proportional to
-    max(H/v_j - (1-w), 0); the score is that mix's worst case over chooser
-    moves, which never over-states, so the result is a valid lower bound.
-    """
-    n = len(vals)
-    if n == 1:
-        return (1.0 + float(wagers.max())) * float(vals[0])
-    h = _fan_value(vals)
-    pos = wagers[wagers > 0.0]
-    raw = np.clip((h / vals)[:, None] - (1.0 - pos)[None, :], 0.0, None)  # (n, W)
-    totals = raw.sum(axis=0)
-    ok = totals > 0.0
-    w_ok = pos[ok]
-    g = raw[:, ok] / totals[ok]
-    per_move = vals[:, None] * (w_ok[None, :] * (n * g - 1.0) + 1.0)
-    best = float(per_move.min(axis=0).max(initial=0.0))
-    if (wagers <= 0.0).any():
-        best = max(best, float(vals.min()))  # zero wager: chooser exits via the worst leaf
-    return best
 
 
 def audit_convergence(graph: GameGraph, steps: int = 400) -> Certificate:
@@ -313,7 +292,6 @@ def certify_graph(
     graph: GameGraph,
     solution: GameSolution,
     betas: Sequence[float] = (0.0, 0.5, 1.0),
-    grid: int = 1001,
     depth: int = 60,
     audit_steps: int = 400,
 ) -> Certificate:
@@ -323,7 +301,7 @@ def certify_graph(
     graphs) under each beta, and the backward-induction bracket on small
     graphs.
     """
-    _check_sweeps(grid, depth)  # before the audit, on every graph class
+    _check_depth(depth)  # before the audit, on every graph class
     checks: list[CheckResult] = []
     max_c = max_g = 0.0
 
@@ -333,8 +311,8 @@ def certify_graph(
 
     if solution.graph_class.is_terminating and graph.nonterminals:
         for beta in betas:
-            dev_c = exploit_search(graph, solution, fixed_side="guesser", grid=grid, beta=beta)
-            dev_g = exploit_search(graph, solution, fixed_side="chooser", grid=grid, beta=beta)
+            dev_c = exploit_search(graph, solution, fixed_side="guesser", beta=beta)
+            dev_g = exploit_search(graph, solution, fixed_side="chooser", beta=beta)
             max_c = max(max_c, dev_c.gain)
             max_g = max(max_g, dev_g.gain)
             checks.append(
@@ -345,7 +323,7 @@ def certify_graph(
                 )
             )
         if graph.num_nodes <= 8:
-            bounds = brute_force_value(graph, wager_grid=grid, depth_limit=depth)
+            bounds = brute_force_value(graph, depth_limit=depth)
             slack = 1e-9 * (1.0 + float(np.abs(solution.values).max()))
             inside = bool(
                 np.all(solution.values >= bounds.lower - slack)

@@ -187,7 +187,7 @@ def test_criterion_08_brute_force_agreement():
             if g.num_nodes > 8:
                 continue
             sol = solve(g)
-            bounds = brute_force_value(g, wager_grid=1001, depth_limit=60)
+            bounds = brute_force_value(g, depth_limit=60)
             slack = 1e-9 * (1 + float(np.abs(sol.values).max()))
             assert np.all(sol.values >= bounds.lower - slack), entry.name
             assert np.all(sol.values <= bounds.upper + slack), entry.name

@@ -254,8 +254,15 @@ def test_analyze_report_shapes():
 
 def test_corpus_fails_when_no_graph_passes(monkeypatch):
     # a broken stopping series rejects every terminating graph; the corpus
-    # build must then fail, not redraw forever
+    # build must then fail, not admit other draws
     monkeypatch.setattr(support, "_CORPUS", None)
     monkeypatch.setattr(support, "_converges_fast", lambda graph: False)
     with pytest.raises(RuntimeError, match="'term'"):
         support.full_corpus()
+
+
+def test_every_random_corpus_entry_still_converges_fast():
+    # the corpus admits draws by number, so a solver change that would
+    # reject one of them must fail here instead of swapping test graphs
+    for entry in support.random_corpus():
+        assert support._converges_fast(entry.graph), entry.name

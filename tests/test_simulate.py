@@ -23,7 +23,7 @@ from pathwager import (
     step_uniforms,
     stopping_analysis,
 )
-from pathwager.simulate import _philox_block
+from pathwager.simulate import _best_reply, _philox_block
 
 
 def fan(values):
@@ -325,12 +325,12 @@ def test_config_validation():
 def test_exploit_search_fan_equilibrium():
     g = fan([2, 4])
     sol = solve(g)
-    held_guesser = exploit_search(g, sol, fixed_side="guesser", grid=101)
+    held_guesser = exploit_search(g, sol, fixed_side="guesser")
     # every pure chooser move yields exactly the harmonic-mean value
     assert held_guesser.gain <= 1e-12
     assert abs(held_guesser.values[0] - 8 / 3) < 1e-12
 
-    held_chooser = exploit_search(g, sol, fixed_side="chooser", grid=101)
+    held_chooser = exploit_search(g, sol, fixed_side="chooser")
     assert held_chooser.values[0] <= 8 / 3 + 1e-12
     assert held_chooser.gain <= 1e-12
 
@@ -353,8 +353,7 @@ def test_exploit_search_equilibrium_on_corpus(terminating_corpus):
         sol = solve(entry.graph)
         for beta in (0.0, 1.0):
             for side in ("chooser", "guesser"):
-                report = exploit_search(entry.graph, sol, fixed_side=side,
-                                        grid=101, beta=beta)
+                report = exploit_search(entry.graph, sol, fixed_side=side, beta=beta)
                 assert report.gain <= 1e-9, (entry.name, side, beta)
 
 
@@ -363,3 +362,19 @@ def test_exploit_search_requires_terminating():
     sol = solve(g)
     with pytest.raises(Exception):
         exploit_search(g, sol, fixed_side="chooser")
+
+
+def test_no_grid_wager_beats_the_best_reply():
+    # guess j at wager w earns p_j c_j (1 + max(n - 1, 1) w) + (p.c - p_j c_j)(1 - w)
+    rng = np.random.default_rng(20261018)
+    wagers = np.linspace(0.0, 1.0, 1001)
+    for n in range(1, 7):
+        win, lose = 1.0 + max(n - 1, 1) * wagers, 1.0 - wagers
+        for _ in range(200):
+            p = rng.dirichlet(np.ones(n))
+            cont = 10.0 ** rng.uniform(-3.0, 3.0, n)
+            j, best = _best_reply(p, cont)
+            pc = p * cont
+            payoff = pc[:, None] * win + (pc.sum() - pc)[:, None] * lose
+            assert payoff.max() <= best * (1.0 + 1e-15), (n, p, cont)
+            assert payoff[j, -1] == best  # attained all in on guess j

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import support
 from pathwager import (
     StrategyProfile,
     build_graph,
@@ -101,7 +102,7 @@ def test_perturbation_sensitivity_on_fans(fan_corpus):
 
 
 def test_brute_force_collapses_on_fans():
-    bounds = brute_force_value(fan24(), wager_grid=1001, depth_limit=5)
+    bounds = brute_force_value(fan24(), depth_limit=5)
     assert abs(bounds.lower[0] - 8 / 3) < 1e-12
     assert abs(bounds.upper[0] - 8 / 3) < 1e-12
     assert bounds.converged
@@ -113,14 +114,14 @@ def test_brute_force_height_two_tree():
         [("r", "x"), ("r", "y"), ("x", "a"), ("x", "b"), ("y", "c"), ("y", "d")],
         {"a": 2, "b": 4, "c": 2, "d": 4},
     )
-    bounds = brute_force_value(g, wager_grid=1001, depth_limit=60)
+    bounds = brute_force_value(g, depth_limit=60)
     assert bounds.width < 1e-6
     assert bounds.lower[0] - 1e-12 <= 8 / 3 <= bounds.upper[0] + 1e-12
 
 
 def test_brute_force_loop_graph_geometric():
     g = build_graph(["1", "t"], [("1", "1"), ("1", "t")], {"t": 1})
-    bounds = brute_force_value(g, wager_grid=1001, depth_limit=60)
+    bounds = brute_force_value(g, depth_limit=60)
     assert bounds.width < 1e-9
     assert bounds.lower[0] - 1e-12 <= 1.0 <= bounds.upper[0] + 1e-12
 
@@ -131,7 +132,7 @@ def test_brute_force_brackets_contain_engine_values(terminating_corpus):
         if g.num_nodes > 8:
             continue
         sol = solve(g)
-        bounds = brute_force_value(g, wager_grid=1001, depth_limit=60)
+        bounds = brute_force_value(g, depth_limit=60)
         slack = 1e-9 * (1 + np.abs(sol.values).max())
         assert np.all(sol.values >= bounds.lower - slack), entry.name
         assert np.all(sol.values <= bounds.upper + slack), entry.name
@@ -148,20 +149,12 @@ def forced_move():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"wager_grid": 0}, "wager grid needs at least 1 point, got 0"),
     ({"depth_limit": 0}, "depth must be at least 1, got 0"),
     ({"depth_limit": -1}, "depth must be at least 1, got -1"),
 ])
 def test_brute_force_rejects_empty_sweeps(kwargs, message):
     with pytest.raises(ValueError, match=message):
         brute_force_value(forced_move(), **kwargs)
-
-
-@pytest.mark.parametrize("side", ["chooser", "guesser"])
-def test_exploit_search_rejects_an_empty_wager_grid(side):
-    g = forced_move()
-    with pytest.raises(ValueError, match="wager grid needs at least 1 point, got 0"):
-        exploit_search(g, solve(g), fixed_side=side, grid=0)
 
 
 def test_audit_convergence_fan_is_exact():
@@ -194,7 +187,7 @@ def test_audit_convergence_across_corpus(corpus):
 def test_certify_graph_composite(terminating_corpus, sc_corpus):
     for entry in terminating_corpus[:6] + sc_corpus[:3]:
         sol = solve(entry.graph)
-        cert = certify_graph(entry.graph, sol, grid=201, depth=40)
+        cert = certify_graph(entry.graph, sol, depth=40)
         assert cert.passed, entry.name
         doc = cert.to_dict()
         assert doc["passed"] and doc["checks"]
@@ -296,3 +289,52 @@ def test_audit_with_zero_steps_compares_the_identity():
     cert = audit_convergence(fan24(), steps=0)
     assert not cert.passed
     assert cert.residual == 1.0
+
+
+def reference_graphs(terminating_corpus):
+    graphs = [(e.name, e.graph) for e in terminating_corpus if e.graph.nonterminals]
+    return graphs + [(f"window-stop:{n}", build_stopping_variant(n)) for n in range(5, 61)]
+
+
+def test_exact_best_replies_match_the_wager_grid(terminating_corpus):
+    for name, g in reference_graphs(terminating_corpus):
+        sol = solve(g)
+        for beta in (0.0, 0.5, 1.0):
+            for side in ("chooser", "guesser"):
+                report = exploit_search(g, sol, fixed_side=side, beta=beta)
+                values, gain, converged = support.grid_exploit_search(g, sol, side, beta)
+                where = (name, beta, side)
+                assert np.all(np.abs(report.values - values) <= 1e-15 * np.abs(values)), where
+                assert abs(report.gain - gain) <= 1e-13, where
+                assert report.converged == converged, where
+
+
+def test_all_in_lower_sweep_matches_the_wager_grid(terminating_corpus):
+    for name, g in reference_graphs(terminating_corpus):
+        bounds = brute_force_value(g)
+        lower, upper, converged = support.grid_brute_force_value(g)
+        # normwise: on unconverged graphs the grid's max over its wagers
+        # rounds up, sweep after sweep, and entries drift apart by 1.3e-15
+        assert np.abs(bounds.lower - lower).max() <= 1e-15 * lower.max(), name
+        assert np.array_equal(bounds.upper, upper), name
+        if bounds.converged != converged:
+            # the all-in sweep can settle a few sweeps before the grid's max,
+            # which wiggles in the last bit (window-stop:13: sweep 60 against 63)
+            assert bounds.converged, name
+            assert support.grid_brute_force_value(g, depth_limit=70)[2], name
+
+
+def four_ary_tree(size):
+    """Node k's parent is (k - 1) // 4; leaves are worth 1 to 4."""
+    labels = [f"n{k}" for k in range(size)]
+    edges = [(labels[(k - 1) // 4], labels[k]) for k in range(1, size)]
+    inner = {(k - 1) // 4 for k in range(1, size)}
+    values = {labels[k]: 1 + k % 4 for k in range(size) if k not in inner}
+    return build_graph(labels, edges, values)
+
+
+@pytest.mark.parametrize("size", [143, 200])
+def test_brute_force_refuses_an_anchor_that_overflows(size):
+    # N^N * v_max: 143^143 * 4 is past the largest double, 200^200 far past it
+    with pytest.raises(ValueError, match=f"not finite at N = {size}"):
+        brute_force_value(four_ary_tree(size), depth_limit=2)
