@@ -13,10 +13,14 @@ sinks first, solving densely only on cyclic ones; the same walk solves
 (I - A) Z = R for a block of right-hand sides.  Strongly connected aperiodic
 graphs have no terminals and the reciprocal values are the Perron eigenvector
 of the propagation operator, whose maximal eigenvalue is the discount factor.
+When one node lies on every cycle (the one-lie window games), the eigenvalue
+is the root of that node's scalar renewal equation and the vectors follow by
+walks over the acyclic rest; every other such graph is power-iterated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -31,6 +35,7 @@ _RESIDUAL_TOL = 1e-14      # ||M x - r x||_inf at acceptance
 _STAGNATION_WINDOW = 200   # products; accept the best iterate if the residual stops improving
 _POWER_BLOCK = 16          # products between convergence tests
 _MAX_POWER_ITERATIONS = 10**6
+_MAX_NEWTON_STEPS = 100
 
 
 class UnsupportedGraphError(ValueError):
@@ -38,7 +43,7 @@ class UnsupportedGraphError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget."""
+    """An iterative Perron solve failed to converge within its budget."""
 
 
 class FanSolution(NamedTuple):
@@ -320,14 +325,94 @@ def _power_iteration(product, n: int) -> tuple[float, np.ndarray]:
     )
 
 
+def _cycle_heads(graph: GameGraph) -> tuple[list[int], list[int]]:
+    """Heads of the back edges of one depth-first search, and its post-order.
+
+    The search starts at the only self-loop node if there is one (a self-loop
+    is a back edge, so another root would add a head), else at node 0.  With
+    one head f, every cycle passes through f, and the post-order lists the
+    other nodes sinks first.
+    """
+    succ = graph.successors
+    loops = [i for i, row in enumerate(succ) if i in row]
+    root = loops[0] if len(loops) == 1 else 0
+    state = [0] * graph.num_nodes  # 0 unseen, 1 on the search path, 2 finished
+    state[root] = 1
+    heads, order = set(), []
+    work = [(root, iter(succ[root]))]
+    while work:
+        v, children = work[-1]
+        for w in children:
+            if not state[w]:
+                state[w] = 1
+                work.append((w, iter(succ[w])))
+                break
+            if state[w] == 1:
+                heads.add(w)
+        else:
+            work.pop()
+            state[v] = 2
+            order.append(v)
+    return sorted(heads), order
+
+
+def _renewal_solve(edges: EdgeList, f: int, order: Sequence[int]) -> tuple[float, np.ndarray, np.ndarray]:
+    """Perron triple (r, x, y) when every cycle passes through f; ``order`` lists the rest, R, sinks first.
+
+    With x_f = 1, x_R = X(r) = (rI - M_RR)^{-1} M_Rf and r solves the renewal
+    equation s(r) = (M_ff + M_fR X(r)) / r = 1 (Meyer's stochastic complement).
+    s is a positive sum of powers of 1/r, so log s is convex and decreasing in
+    log r, and s(1/2) >= 1 since r >= the least row sum 1/2: Newton steps in
+    log r from 1/2, one sinks-first walk of X and dX/dr each, rise to the root
+    and stop when r stops rising.  X falls as r rises, so it can overflow only
+    before the first step; r then bisects [1/2, 1] in log r until X is finite
+    with s >= 1.  A sources-first walk pushes y_R.
+    """
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(edges.size)]
+    for i, j, w in zip(edges.src.tolist(), edges.dst.tolist(), edges.weight.tolist()):
+        rows[i].append((j, w))
+    x, dx, y = [0.0] * edges.size, [0.0] * edges.size, [0.0] * edges.size
+    x[f] = y[f] = 1.0
+    lo = r = 0.5
+    hi, searching = 1.0, True  # [lo, hi] holds the root while searching
+    for _ in range(_MAX_NEWTON_STEPS):
+        for i in (*order, f):  # f last, where a and b become r s and r ds/dr + s
+            a = b = 0.0
+            for j, w in rows[i]:
+                a += w * x[j]
+                b += w * dx[j]
+            if i != f:
+                x[i], dx[i] = a / r, (b - a / r) / r
+        if searching and not (a >= r and math.isfinite(a - b)):
+            lo, hi = (r, hi) if a >= r else (lo, r)  # X overflowed below the root, or r passed it
+            r = math.sqrt(lo * hi)
+            continue
+        searching = False
+        step = r * math.exp(math.log(a / r) / (1 - r * b / a))
+        if not step > r:
+            break
+        r = step
+    else:
+        raise ConvergenceError(f"renewal equation did not converge in {_MAX_NEWTON_STEPS} Newton steps")
+    for i in (f, *reversed(order)):
+        if i != f:
+            y[i] /= r
+        for j, w in rows[i]:
+            if j != f:
+                y[j] += w * y[i]
+    x_vec, y_vec = np.array(x), np.array(y)
+    return r, x_vec / x_vec.sum(), y_vec / y_vec.sum()
+
+
 def solve_strongly_connected(graph: GameGraph) -> GameSolution:
     """Perron solve for strongly connected aperiodic graphs.
 
-    Power iteration on M gives the maximal eigenvalue r (in [1/2, 1]) and
-    the right eigenvector x; iteration on M^T gives the left eigenvector y.
-    The reciprocal value vector is normalized to the truncation limit,
-    u = x * sum(y) / (x . y), so the depth-limited values r^{-s} M^s 1
-    converge to u without rescaling.  The optimal discount factor equals r.
+    The maximal eigenvalue r of M (in [1/2, 1]) is the optimal discount
+    factor, with right and left eigenvectors x and y.  ``_renewal_solve`` finds
+    them when one depth-first search shows a node on every cycle (the one-lie
+    windows); power iteration on M and M^T does otherwise.  The reciprocal
+    values u = x * sum(y) / (x . y) are the limit of the depth-limited values
+    r^{-s} M^s 1, with no rescaling.
     """
     cls = classify(graph)
     if cls.kind is not GraphKind.STRONGLY_CONNECTED_APERIODIC:
@@ -335,11 +420,16 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
             f"solve_strongly_connected requires a strongly connected aperiodic graph, got {cls}"
         )
     edges = EdgeList.of(graph)
-    r, x = _power_iteration(edges.matvec, graph.num_nodes)
-    r_left, y = _power_iteration(edges.rmatvec, graph.num_nodes)
+    heads, order = _cycle_heads(graph)
+    if len(heads) == 1:
+        r, x, y = _renewal_solve(edges, heads[0], [i for i in order if i != heads[0]])
+    else:
+        r, x = _power_iteration(edges.matvec, graph.num_nodes)
+        r_left, y = _power_iteration(edges.rmatvec, graph.num_nodes)
+        r = 0.5 * (r + r_left)
     # cap at the row-sum bound r <= max_i sum_j M_ij = 1 (Meyer, Matrix Analysis,
-    # 8.1): rounding can put the two estimates a few ulps above it
-    radius = min(0.5 * (r + r_left), 1.0)
+    # 8.1): rounding can put the estimates a few ulps above it
+    radius = min(r, 1.0)
     u = x * (y.sum() / (x @ y))
     if np.any(u <= 0) or np.any(x <= 0) or np.any(y <= 0):
         raise ConvergenceError("Perron vectors are not strictly positive")

@@ -1,13 +1,13 @@
 """Value engine: closed forms, linear solves, spectral solves, truncation."""
 
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.sparse
-import scipy.sparse.linalg
 
 import support
 from pathwager import values
@@ -311,22 +311,132 @@ def test_one_lie_window_radius_matches_closed_form(n):
     assert abs(sol.spectral.radius - lam_root(n) / 2) <= 2e-12
 
 
+def _exact_ratio_bracket(graph, x):
+    """min and max over i of (Mx)_i / x_i in exact rationals; every float is a binary rational."""
+    xs = [Fraction(v) for v in x.tolist()]
+    ratios = [
+        Fraction(1, 2 if len(succ) == 1 else len(succ)) * sum(xs[j] for j in succ) / xs[i]
+        for i, succ in enumerate(graph.successors)
+    ]
+    return min(ratios), max(ratios)
+
+
+def _renewal_sign(n, lam):
+    """Sign of p(lam) = lam^n - lam^(n-1) - 1, negative below the one positive root and positive above."""
+    p = lam**n - lam ** (n - 1) - 1
+    return (p > 0) - (p < 0)
+
+
+def _one_lie_window(n):
+    """window:n,1 built directly: the cycle 1 -> 2 -> ... -> n -> 1 with a loop at the start state 1.
+
+    The oracle's Moore refinement takes seconds at n = 1600, so the shape is
+    checked against ``build_window_game`` up to n = 200 only.
+    """
+    labels = [str(i) for i in range(1, n + 1)]
+    g = build_graph(labels, [("1", "1")] + list(zip(labels, labels[1:] + labels[:1])), {})
+    if n <= 200:
+        assert g.successors == build_window_game(n, 1).successors
+    return g
+
+
 @pytest.mark.parametrize("n", ONE_LIE_WINDOWS)
 def test_collatz_wielandt_bracket_holds_the_radius(n):
     # min_i (Mx)_i / x_i <= r <= max_i (Mx)_i / x_i for any positive x
-    # (Meyer, Matrix Analysis, 8.3); one matvec, independent of the solver's tests
-    sol = solve_strongly_connected(build_window_game(n, 1))
-    e, x = sol.edges, sol.spectral.right_vec
-    ratio = e.matvec(x) / x
-    lo, hi = ratio.min(), ratio.max()
-    m = scipy.sparse.csr_matrix((e.weight, (e.src, e.dst)), shape=(e.size, e.size))
-    # every eigenvalue has modulus <= r <= 1, so r is the one nearest to 1: shift-invert
-    # at 1 finds it, where which="LM" converges to a wrong eigenvalue on n = 200
-    ref = scipy.sparse.linalg.eigs(m, k=1, sigma=1.0, return_eigenvectors=False)[0]
-    assert abs(ref.imag) <= 1e-12
-    ref = ref.real
-    assert lo <= ref <= hi
+    # (Meyer, Matrix Analysis, 8.3), evaluated exactly over the edges, and
+    # r = lambda / 2 at the root of lambda^n - lambda^(n-1) - 1; the sign test
+    # needs neither a reference solver nor a rounding allowance
+    g = build_window_game(n, 1)
+    sol = solve_strongly_connected(g)
+    lo, hi = _exact_ratio_bracket(g, sol.spectral.right_vec)
+    assert _renewal_sign(n, 2 * lo) <= 0 <= _renewal_sign(n, 2 * hi)
     assert hi - lo <= 4e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 200, 1600])
+def test_slow_mixing_one_lie_windows_solve_to_rounding(n):
+    # |lambda_2| / r reaches 0.998 here, where power iteration stops with a bracket 2.5e-12 wide (n = 200)
+    g = _one_lie_window(n)
+    start = time.perf_counter()
+    sol = solve_strongly_connected(g)
+    elapsed = time.perf_counter() - start
+    e, r = sol.edges, sol.spectral.radius
+    x, y = sol.spectral.right_vec, sol.spectral.left_vec
+    lo, hi = _exact_ratio_bracket(g, x)
+    assert _renewal_sign(n, 2 * lo) <= 0 <= _renewal_sign(n, 2 * hi)
+    assert hi - lo <= 1e-15
+    assert np.abs(e.matvec(x) - r * x).max() <= 1e-15
+    assert np.abs(e.rmatvec(y) - r * y).max() <= 1e-15
+    assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 60])
+def test_cycle_heads_find_the_start_state_of_one_lie_windows(n):
+    g = build_window_game(n, 1)
+    heads, order = values._cycle_heads(g)
+    assert heads == [g.index_of("1")]
+    assert sorted(order) == list(range(n))
+
+
+def test_cycle_heads_find_the_start_state_under_relabelling():
+    g = build_window_game(200, 1)
+    order = random.Random(12).sample(range(200), 200)
+    relabelled = build_graph(
+        [g.labels[i] for i in order], [(g.labels[i], g.labels[j]) for i, j in g.edges()], {})
+    assert relabelled.index_of("1") != 0
+    heads, _ = values._cycle_heads(relabelled)
+    assert heads == [relabelled.index_of("1")]
+
+
+@pytest.mark.parametrize("spec", ["window:5,2", "window:12,3"])
+def test_cycle_heads_find_several_on_multi_lie_windows(spec):
+    heads, _ = values._cycle_heads(parse_oracle_spec(spec).build())
+    assert len(heads) >= 2
+
+
+def test_renewal_path_matches_power_iteration(sc_corpus):
+    renewal = 0
+    for entry in sc_corpus:
+        heads, _ = values._cycle_heads(entry.graph)
+        if len(heads) != 1:
+            continue
+        renewal += 1
+        e = values.EdgeList.of(entry.graph)
+        r, x = values._power_iteration(e.matvec, e.size)
+        r_left, y = values._power_iteration(e.rmatvec, e.size)
+        u = x * (y.sum() / (x @ y))
+        sol = solve_strongly_connected(entry.graph)
+        assert abs(sol.spectral.radius - min(0.5 * (r + r_left), 1.0)) <= 1e-12, entry.name
+        assert np.abs(sol.reciprocals / u - 1).max() <= 1e-9, entry.name
+    assert renewal == 10
+
+
+@pytest.mark.parametrize("k", [300, 2000])
+def test_renewal_solve_converges_on_a_deep_ladder(k):
+    # i -> {i+1, i+2}, wrapping to the looped start 0: s(1/2) grows like the k-th
+    # Fibonacci number.  Plain Newton in r needs more than 100 steps at k = 300, and at
+    # k = 2000 the walk at r = 1/2 overflows, so r first bisects towards the root
+    labels = [str(i) for i in range(k)]
+    edges = {("0", "0")} | {(str(i), str(j if j < k else 0)) for i in range(k) for j in (i + 1, i + 2)}
+    g = build_graph(labels, sorted(edges), {})
+    assert values._cycle_heads(g)[0] == [0]
+    sol = solve_strongly_connected(g)
+    e, r, x = sol.edges, sol.spectral.radius, sol.spectral.right_vec
+    lo, hi = _exact_ratio_bracket(g, x)
+    assert lo <= r <= hi
+    assert hi - lo <= 1e-12
+    assert np.abs(e.matvec(x) - r * x).max() <= 1e-15
+
+
+def test_renewal_solve_of_a_stochastic_operator():
+    # no game graph with one feedback vertex is stochastic: the last node
+    # before f has out-degree 1 and row sum 1/2; so weights are set by hand
+    e = values.EdgeList(src=np.array([0, 0, 0, 1, 1, 2]), dst=np.array([0, 1, 2, 0, 2, 0]),
+                        weight=np.array([1 / 3, 1 / 3, 1 / 3, 0.5, 0.5, 1.0]), size=3)
+    r, x, y = values._renewal_solve(e, 0, [2, 1])
+    u = x * (y.sum() / (x @ y))
+    assert r == 1.0
+    assert np.abs(u - 1.0).max() <= 1e-15
 
 
 def _per_product_power_iteration(product, n):
