@@ -11,7 +11,8 @@ The oracles here are deliberately independent of the library's
 linear-algebra and automaton code paths: cycle gcds come from explicit
 simple-cycle enumeration, string languages from exhaustive enumeration, and
 root references from scipy's root finder.  The wager-grid references keep
-the grid searches that the library's closed-form best replies replaced.
+the grid searches that the library's closed-form best replies replaced, and
+the Moore refinement reference the library's Hopcroft minimization.
 """
 
 from __future__ import annotations
@@ -295,24 +296,85 @@ def legal_pattern_strings(patterns: list[str], max_len: int) -> set[str]:
     return out
 
 
-def realizable_strings(graph: GameGraph, max_len: int) -> set[str]:
-    """Edge-label strings readable from the start node (index 0)."""
+def realizable_strings(graph: GameGraph | list[dict[str, int]], max_len: int,
+                       start: int = 0) -> set[str]:
+    """Edge-label strings readable from the start node (index 0), of a graph
+    or of a transition table (one {"truth"|"lie": target} dict per state)."""
     symbol_char = {"truth": "T", "lie": "L"}
-    table: list[dict[str, int]] = [dict() for _ in range(graph.num_nodes)]
-    for (i, j), label in (graph.edge_labels or {}).items():
-        for sym in label.split("|"):
-            table[i][symbol_char[sym]] = j
+    if isinstance(graph, GameGraph):
+        table: list[dict[str, int]] = [dict() for _ in range(graph.num_nodes)]
+        for (i, j), label in (graph.edge_labels or {}).items():
+            for sym in label.split("|"):
+                table[i][sym] = j
+    else:
+        table = graph
     out: set[str] = set()
 
     def walk(state: int, prefix: str) -> None:
         if len(prefix) == max_len:
             return
-        for ch, nxt in table[state].items():
-            word = prefix + ch
+        for sym, nxt in table[state].items():
+            word = prefix + symbol_char[sym]
             out.add(word)
             walk(nxt, word)
 
-    walk(0, "")
+    walk(start, "")
+    return out
+
+
+# -- automaton minimization reference -----------------------------------------
+# The library minimizes oracle automata by Hopcroft's partition refinement.
+# This is the Moore refinement it replaced, kept to compare partitions with.
+
+
+def moore_partition(transitions: list[dict[str, int]]) -> list[int]:
+    """Block of each state, numbered by lowest state: split by enabled symbols,
+    then by symbol-wise target blocks until a round changes nothing."""
+    n = len(transitions)
+    block = [0] * n
+    signature: dict = {}
+    for s in range(n):
+        key = tuple(sorted(transitions[s]))
+        block[s] = signature.setdefault(key, len(signature))
+    while True:
+        signature = {}
+        new_block = [0] * n
+        for s in range(n):
+            key = (block[s], tuple((sym, block[t]) for sym, t in sorted(transitions[s].items())))
+            new_block[s] = signature.setdefault(key, len(signature))
+        if new_block == block:
+            return block
+        block = new_block
+
+
+def moore_minimize(transitions: list[dict[str, int]],
+                   start: int) -> tuple[list[dict[str, int]], int]:
+    """``oracle._minimize``'s (merged, start block), by Moore refinement."""
+    block = moore_partition(transitions)
+    merged: list[dict[str, int]] = [dict() for _ in range(len(set(block)))]
+    for s in range(len(transitions)):
+        for sym, t in transitions[s].items():
+            merged[block[s]][sym] = block[t]
+    return merged, block[start]
+
+
+def random_automata(count: int, seed: int) -> list[list[dict[str, int]]]:
+    """Partial deterministic automata over truth/lie with 1-12 states.
+
+    Each transition is missing with probability 0.3; a third of the draws
+    get a state with no transitions at all, and up to two trailing states
+    are never a target, so from state 0 they are unreachable.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        targets = max(1, n - rng.randint(0, 2))
+        table = [{sym: rng.randrange(targets) for sym in ("truth", "lie") if rng.random() >= 0.3}
+                 for _ in range(n)]
+        if rng.random() < 1 / 3:
+            table[rng.randrange(n)] = {}
+        out.append(table)
     return out
 
 

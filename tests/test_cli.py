@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -224,6 +225,22 @@ def test_generate_large_stopping_variant(tmp_path):
     out = tmp_path / "g.json"
     assert dispatch(["generate", "--oracle", "window-stop:1030", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["nodes"]) == 1031
+
+
+def test_generate_window_twenty_five(tmp_path):
+    out = tmp_path / "g.json"
+    assert dispatch(["generate", "--oracle", "window:20,5", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["nodes"]) == 15504
+
+
+def test_generate_refuses_an_oversized_window(tmp_path, capsys):
+    # window:64,32 has about 2^62 raw histories: refused before any is built
+    out = tmp_path / "g.json"
+    start = time.perf_counter()
+    assert dispatch(["generate", "--oracle", "window:64,32", "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "raw histories" in err and not out.exists()
 
 
 @pytest.mark.parametrize("module", ["pathwager", "pathwager.cli"])

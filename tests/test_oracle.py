@@ -1,6 +1,7 @@
 """Oracle game generation: automata, languages, and closed-form references."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.optimize
 
 import support
 from pathwager import (
+    GraphError,
     GraphKind,
     build_forbidden_pattern_game,
     build_profile,
@@ -18,9 +20,11 @@ from pathwager import (
     classify,
     gn1_reference,
     invariant_measure,
+    serialize_graph,
     solve,
     stop_probability_formula,
 )
+from pathwager import oracle
 from pathwager.oracle import OracleBuildError, OracleSpec, parse_pattern_lines
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -48,7 +52,7 @@ def test_window_one_lie_family_is_cycle_plus_loop():
 
 
 def test_window_zero_budget_single_loop():
-    for n in (1, 2, 5):
+    for n in (1, 2, 5, 10**12):
         g = build_window_game(n, 0)
         assert g.num_nodes == 1
         assert g.successors == ((0,),)
@@ -225,3 +229,110 @@ def test_solver_reproduces_reference_family():
         assert np.allclose(profile.guesser[0], [1.0, 0.0], atol=1e-10)
         mu = invariant_measure(sol)
         assert np.abs(mu - ref.invariant).max() < 1e-10, n
+
+
+# -- Hopcroft minimization against the Moore reference ------------------------
+
+HOPCROFT_WINDOWS = [(n, k) for n in range(1, 15) for k in range(min(n, 5))] + [(16, 4), (200, 1)]
+PATTERN_SETS = [["LL"], ["L"], ["LL", "LTL"], ["LT"], ["T", "L"], ["L", "LL"]]
+RANDOM_AUTOMATA = support.random_automata(200, seed=1971)
+
+
+def _built(build):
+    """serialize_graph bytes of ``build()``, or its error message (a random
+    automaton whose start reaches a dead end is no game graph)."""
+    try:
+        return serialize_graph(build())
+    except (OracleBuildError, GraphError) as exc:
+        return f"error: {exc}"
+
+
+def _builds(family):
+    if family == "windows":
+        return {f"window:{n},{k}": lambda n=n, k=k: build_window_game(n, k)
+                for n, k in HOPCROFT_WINDOWS}
+    if family == "window-stop":
+        return {f"window-stop:{n}": lambda n=n: build_stopping_variant(n) for n in range(2, 61)}
+    return {"patterns:" + ",".join(p): lambda p=p: build_forbidden_pattern_game(p)
+            for p in PATTERN_SETS}
+
+
+@pytest.mark.parametrize("family", ["windows", "window-stop", "patterns", "random"])
+def test_hopcroft_matches_moore(family, monkeypatch):
+    # the coarsest stable partition is unique, so both number the same blocks
+    # by lowest state; the graph bytes then agree through every builder
+    if family == "random":
+        automata = [(t, 0, f"random {i}") for i, t in enumerate(RANDOM_AUTOMATA)]
+    else:
+        automata = []
+        real = oracle._minimize
+
+        def recording(transitions, start):
+            automata.append((transitions, start, spec))
+            return real(transitions, start)
+
+        for spec, build in _builds(family).items():
+            monkeypatch.setattr(oracle, "_minimize", recording)
+            hopcroft = _built(build)
+            monkeypatch.setattr(oracle, "_minimize", support.moore_minimize)
+            assert hopcroft == _built(build), spec
+        monkeypatch.undo()
+        assert {spec for *_, spec in automata} >= set(_builds(family)) - {
+            "patterns:T,L", "patterns:L,LL"}
+    for transitions, start, spec in automata:
+        assert oracle._partition(transitions) == support.moore_partition(transitions), spec
+        got, want = oracle._minimize(transitions, start), support.moore_minimize(transitions, start)
+        assert got == want, spec
+        assert (_built(lambda: oracle._automaton_to_graph(*got))
+                == _built(lambda: oracle._automaton_to_graph(*want))), spec
+
+
+def test_random_automata_have_unreachable_and_dead_end_states():
+    unreachable = dead_ends = merged = 0
+    for table in RANDOM_AUTOMATA:
+        reached, frontier = {0}, [0]
+        while frontier:
+            for t in table[frontier.pop()].values():
+                if t not in reached:
+                    reached.add(t)
+                    frontier.append(t)
+        unreachable += len(reached) < len(table)
+        dead_ends += any(not trans for trans in table)
+        merged += len(oracle._minimize(table, 0)[0]) < len(table)
+    assert min(unreachable, dead_ends, merged) >= 50, (unreachable, dead_ends, merged)
+
+
+def test_hopcroft_quotient_is_minimal():
+    for i, table in enumerate(RANDOM_AUTOMATA):
+        merged, start = oracle._minimize(table, 0)
+        assert len(support.moore_minimize(merged, start)[0]) == len(merged), i
+
+
+def test_hopcroft_quotient_reads_the_same_strings():
+    for i, table in enumerate(RANDOM_AUTOMATA):
+        merged, start = oracle._minimize(table, 0)
+        assert (support.realizable_strings(merged, 10, start)
+                == support.realizable_strings(table, 10)), i
+
+
+@pytest.mark.parametrize("n, k, states", [(20, 5, 16664), (14, 3, 378), (12, 4, 562)])
+def test_window_raw_histories_match_the_binomial_count(n, k, states, monkeypatch):
+    sizes = []
+    real = oracle._minimize
+    monkeypatch.setattr(oracle, "_minimize", lambda t, s: sizes.append(len(t)) or real(t, s))
+    build_window_game(n, k)
+    assert sizes == [states] == [sum(math.comb(n - 1, j) for j in range(k + 1))]
+    monkeypatch.setattr(oracle, "MAX_WINDOW_STATES", states)
+    build_window_game(n, k)
+    monkeypatch.setattr(oracle, "MAX_WINDOW_STATES", states - 1)
+    with pytest.raises(OracleBuildError, match=f"more than {states - 1} raw histories"):
+        build_window_game(n, k)
+
+
+def test_window_refuses_oversized_specs_at_once():
+    # window:64,32 would need about 2^62 raw histories
+    start = time.perf_counter()
+    for n, k in [(64, 32), (10**9, 10**8), (oracle.MAX_WINDOW_STATES + 2, 1)]:
+        with pytest.raises(OracleBuildError, match="too many to build"):
+            build_window_game(n, k)
+    assert time.perf_counter() - start < 1.0

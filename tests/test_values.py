@@ -327,19 +327,6 @@ def _renewal_sign(n, lam):
     return (p > 0) - (p < 0)
 
 
-def _one_lie_window(n):
-    """window:n,1 built directly: the cycle 1 -> 2 -> ... -> n -> 1 with a loop at the start state 1.
-
-    The oracle's Moore refinement takes seconds at n = 1600, so the shape is
-    checked against ``build_window_game`` up to n = 200 only.
-    """
-    labels = [str(i) for i in range(1, n + 1)]
-    g = build_graph(labels, [("1", "1")] + list(zip(labels, labels[1:] + labels[:1])), {})
-    if n <= 200:
-        assert g.successors == build_window_game(n, 1).successors
-    return g
-
-
 @pytest.mark.parametrize("n", ONE_LIE_WINDOWS)
 def test_collatz_wielandt_bracket_holds_the_radius(n):
     # min_i (Mx)_i / x_i <= r <= max_i (Mx)_i / x_i for any positive x
@@ -356,7 +343,8 @@ def test_collatz_wielandt_bracket_holds_the_radius(n):
 @pytest.mark.parametrize("n", [2, 3, 16, 200, 1600])
 def test_slow_mixing_one_lie_windows_solve_to_rounding(n):
     # |lambda_2| / r reaches 0.998 here, where power iteration stops with a bracket 2.5e-12 wide (n = 200)
-    g = _one_lie_window(n)
+    g = build_window_game(n, 1)
+    assert g.successors == ((0, 1),) + tuple((i + 1,) for i in range(1, n - 1)) + ((0,),)
     start = time.perf_counter()
     sol = solve_strongly_connected(g)
     elapsed = time.perf_counter() - start
