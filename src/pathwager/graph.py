@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 
 class GraphError(ValueError):
     """Raised for malformed or invalid game-graph input."""
@@ -99,11 +101,30 @@ class GameGraph:
     def nonterminals(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.num_nodes) if not self.is_terminal(i))
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise GraphError(f"unknown node label {label!r}") from None
+
+    @cached_property
+    def degree_blocks(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """Non-terminal nodes by out-degree d, d increasing: (d, nodes, succ); cached.
+
+        ``nodes`` is ascending and row k of the m x d matrix ``succ`` is
+        ``successors[nodes[k]]``, so per-node work runs as axis-1 operations.
+        """
+        by_degree: dict[int, list[int]] = {}
+        for i in self.nonterminals:
+            by_degree.setdefault(len(self.successors[i]), []).append(i)
+        return tuple(
+            (d, np.array(nodes), np.array([self.successors[i] for i in nodes]))
+            for d, nodes in sorted(by_degree.items())
+        )
 
     def edges(self) -> Iterable[tuple[int, int]]:
         for i, succ in enumerate(self.successors):

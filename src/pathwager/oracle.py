@@ -332,6 +332,9 @@ def build_stopping_variant(n: int) -> GameGraph:
     """
     if n < 2:
         raise OracleBuildError("stopping variant requires n >= 2")
+    if n > MAX_WINDOW_STATES:  # window:n,1 has n raw histories
+        raise OracleBuildError(f"window-stop:{n} has more than {MAX_WINDOW_STATES} raw histories, "
+                               "too many to build")
     base = build_window_game(n, 1)
     labels = list(base.labels) + ["stop"]
     edges = [(base.labels[i], base.labels[j]) for i, j in base.edges()]

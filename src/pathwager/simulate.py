@@ -18,6 +18,9 @@ index ``searchsorted(cdf, u, side="right")`` capped at degree - 1, as
 ``play_step`` takes it.  Replications drop out at a terminal; strongly
 connected games instead run a fixed horizon, discounted every step.
 
+``exploit_search`` sweeps best replies over ``GameGraph.degree_blocks``, one
+m x d array pass per out-degree d and sweep.
+
 Randomness is counter-based (Philox 4x32, 10 rounds): the pair of uniforms
 consumed at step t of replication k is a pure function of (seed, k, t), so
 replications are independent streams and results are bit-identical whether
@@ -214,24 +217,30 @@ def _multipliers(n: int, w: float) -> tuple[float, float]:
     return 1.0 + max(n - 1, 1) * w, 1.0 - w
 
 
-def _move_payoffs(g: np.ndarray, w: float, cont: np.ndarray) -> np.ndarray:
+def _move_payoffs(g: np.ndarray, w, cont: np.ndarray) -> np.ndarray:
     """The guesser's expected fortune for each chooser move, when she guesses
-    by the mix g and wagers w, and successor j is worth cont_j."""
-    win, lose = _multipliers(len(cont), w)
+    by the mix g and wagers w, and successor j is worth cont_j; moves run
+    along the last axis (a degree block passes its wagers as a column)."""
+    win, lose = _multipliers(cont.shape[-1], w)
     return (g * win + (1.0 - g) * lose) * cont
 
 
-def _best_reply(p: np.ndarray, cont: np.ndarray) -> tuple[int, float]:
+def _best_reply(p: np.ndarray, cont: np.ndarray):
     """The guesser's best (guess, wager = 1) against the chooser mix p, and its worth.
 
     Her payoff (1 - w) p.cont + w n p_j cont_j is linear in w, and the mean
     of n p_j cont_j over j is p.cont, so staking everything on the largest
-    p_j cont_j is a best reply.  On a forced move it doubles cont.
+    p_j cont_j (the first, on ties) is a best reply.  On a forced move it
+    doubles cont.  Moves run along the last axis, one reply per row.
     """
-    win, _ = _multipliers(len(cont), 1.0)
+    win, _ = _multipliers(cont.shape[-1], 1.0)
     stake = p * cont
-    j = int(np.argmax(stake))
-    return j, win * float(stake[j])
+    return stake.argmax(axis=-1), win * stake.max(axis=-1)
+
+
+def _stack(table: dict, nodes: np.ndarray) -> np.ndarray:
+    """A profile table's entries for ``nodes``, one row (or wager) per node."""
+    return np.array([table[i] for i in nodes.tolist()])
 
 
 def run(config: SimulationConfig) -> SimulationResult:
@@ -321,19 +330,22 @@ def _edge_tables(graph: GameGraph, profile: StrategyProfile):
 
     Row i of the edge tables is ``offsets[i]:offsets[i + 1]``: the successors
     of node i and the guesser's and chooser's CDFs over them, each the
-    ``np.cumsum`` of the row that ``_pick`` takes.  ``win``/``lose`` are the
-    node's multipliers and ``value`` the terminal values (0 elsewhere).
+    ``np.cumsum`` of the row that ``_pick`` takes, filled one degree block
+    at a time.  ``win``/``lose`` are the node's multipliers and ``value`` the
+    terminal values (0 elsewhere).
     """
     n = graph.num_nodes
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum([len(succ) for succ in graph.successors], out=offsets[1:])
-    dst = np.fromiter((j for succ in graph.successors for j in succ), np.int64, int(offsets[-1]))
-    rows = graph.nonterminals
-    g_cdf = np.concatenate([np.cumsum(profile.guesser[i]) for i in rows])
-    c_cdf = np.concatenate([np.cumsum(profile.chooser[i]) for i in rows])
+    edge_count = offsets[-1]
+    dst, g_cdf, c_cdf = np.empty(edge_count, np.int64), np.empty(edge_count), np.empty(edge_count)
     win, lose, value = np.ones(n), np.ones(n), np.zeros(n)
-    for i in rows:
-        win[i], lose[i] = _multipliers(graph.out_degree(i), profile.wagers[i])
+    for d, nodes, succ in graph.degree_blocks:
+        edges = offsets[nodes][:, None] + np.arange(d)
+        dst[edges] = succ
+        g_cdf[edges] = np.cumsum(_stack(profile.guesser, nodes), axis=1)
+        c_cdf[edges] = np.cumsum(_stack(profile.chooser, nodes), axis=1)
+        win[nodes], lose[nodes] = _multipliers(d, _stack(profile.wagers, nodes))
     for k in graph.terminals:
         value[k] = graph.values[k]
     return offsets, dst, g_cdf, c_cdf, win, lose, value
@@ -387,14 +399,17 @@ def exploit_search(
 ) -> ExploitReport:
     """Search pure positional deviations against one side's fixed strategy.
 
-    Uses exact expectation recursion (no sampling): dynamic-programming
-    sweeps with the engine values as the tail, iterated to a fixed point.
-    The chooser deviates over pure successor choices; the guesser's best
-    reply at a node stakes her whole fortune on one successor, which
-    ``_best_reply`` finds exactly.  The fixed side plays the limiting
-    strategy at ``beta`` unless an explicit (possibly off-equilibrium)
-    profile is supplied; the gain is always reported relative to the game
-    value.
+    Uses exact expectation recursion (no sampling): Jacobi sweeps, each
+    node updated from the previous sweep's values with the engine values as
+    the start, until the largest change is within 1e-14 relative, or
+    ``converged`` is False after 10 N + 50 sweeps.  Each sweep runs one
+    array pass per degree block.  The chooser deviates over pure successor
+    choices, the first on ties; the guesser's best reply at a node stakes
+    her whole fortune on one successor, which ``_best_reply`` finds
+    exactly.  ``deviation`` holds the last sweep's actions.  The fixed side
+    plays the limiting strategy at ``beta`` unless an explicit (possibly
+    off-equilibrium) profile is supplied; the gain is always reported
+    relative to the game value.
     """
     if fixed_side not in ("chooser", "guesser"):
         raise ValueError("fixed_side must be 'chooser' or 'guesser'")
@@ -402,37 +417,46 @@ def exploit_search(
         raise UnsupportedGraphError("exploit search requires a terminating graph")
     if profile is None:
         profile = build_profile(solution, graph, beta=beta)
+    guesser_held = fixed_side == "guesser"
+    blocks = [
+        (nodes, succ, _stack(profile.guesser if guesser_held else profile.chooser, nodes),
+         _stack(profile.wagers, nodes)[:, None] if guesser_held else None)
+        for _, nodes, succ in graph.degree_blocks
+    ]
+    moves = [None] * len(blocks)
     values = solution.values.copy()
-    best_action: dict[int, object] = {}
     max_sweeps = 10 * graph.num_nodes + 50
     converged = False
     for _ in range(max_sweeps):
         new = values.copy()
-        for i in graph.nonterminals:
-            succ = graph.successors[i]
-            cont = values[list(succ)]
-            if fixed_side == "guesser":
+        for b, (nodes, succ, mix, wager) in enumerate(blocks):
+            cont = values[succ]
+            if guesser_held:
                 # chooser picks the successor minimizing her expected fortune
-                per_move = _move_payoffs(profile.guesser[i], profile.wagers[i], cont)
-                k = int(np.argmin(per_move))
-                new[i] = per_move[k]
-                best_action[i] = succ[k]
+                per_move = _move_payoffs(mix, wager, cont)
+                moves[b], new[nodes] = per_move.argmin(axis=1), per_move.min(axis=1)
             else:
-                j, new[i] = _best_reply(profile.chooser[i], cont)
-                best_action[i] = (succ[j], 1.0)
+                moves[b], new[nodes] = _best_reply(mix, cont)
         if float(np.abs(new - values).max()) <= 1e-14 * max(1.0, float(np.abs(new).max())):
             values = new
             converged = True
             break
         values = new
-    if fixed_side == "guesser":
-        gain = float((solution.values - values)[list(graph.nonterminals)].max(initial=0.0))
+    target = np.zeros(graph.num_nodes, dtype=np.int64)
+    for (nodes, succ, _, _), k in zip(blocks, moves):
+        target[nodes] = succ[np.arange(len(nodes)), k]
+    rows = list(graph.nonterminals)
+    targets = target[rows].tolist()
+    if guesser_held:
+        deviation = dict(zip(rows, targets))
+        gain = float((solution.values - values)[rows].max(initial=0.0))
     else:
-        gain = float((values - solution.values)[list(graph.nonterminals)].max(initial=0.0))
+        deviation = {i: (j, 1.0) for i, j in zip(rows, targets)}
+        gain = float((values - solution.values)[rows].max(initial=0.0))
     return ExploitReport(
         fixed_side=fixed_side,
         values=values,
         gain=gain,
-        deviation=best_action,
+        deviation=deviation,
         converged=converged,
     )

@@ -11,6 +11,8 @@ parameter beta in [0, 1]:
 beta = 0 is the maximum-risk strategy (bet everything, guess like the
 chooser); beta = 1 is the minimum-risk strategy whose wager equals the
 critical wager 1 - H/v_max and which never guesses a least-likely move.
+``build_profile`` computes them per ``GameGraph.degree_blocks`` entry, one
+m x d array pass per out-degree d, bit for bit as node by node.
 """
 
 from __future__ import annotations
@@ -57,56 +59,69 @@ class StrategyProfile:
 
 
 def build_profile(solution: GameSolution, graph: GameGraph, beta: float = 1.0) -> StrategyProfile:
-    """Limiting strategy profile for a solved graph at risk parameter beta."""
+    """Limiting strategy profile for a solved graph at risk parameter beta.
+
+    Nodes of one out-degree d are handled together, as the rows of m x d
+    arrays (``graph.degree_blocks``); each node's entries are views of its
+    row.  A guess row out of range raises at the lowest such node.
+    """
     if not 0.0 <= beta <= 1.0:
         raise StrategyError(f"beta must lie in [0, 1], got {beta}")
     if solution.graph != graph:
         raise StrategyError("solution does not belong to this graph")
     u = solution.reciprocals
-    chooser: dict[int, np.ndarray] = {}
-    guesser: dict[int, np.ndarray] = {}
-    wagers: dict[int, float] = {}
-    for i in graph.nonterminals:
-        succ = graph.successors[i]
-        n = len(succ)
-        if n == 1:
-            chooser[i] = np.array([1.0])
-            guesser[i] = np.array([1.0])
-            wagers[i] = 1.0
-            continue
-        weights = u[list(succ)]
-        p = weights / weights.sum()
-        pmin = float(p.min())
-        w = 1.0 - n * beta * pmin
-        if w > _WAGER_ZERO_TOL:
-            # the entries are >= 0 and sum to w in exact arithmetic; dividing
-            # by their own sum stays in range when w is tiny and inexact
-            g = p - beta * pmin
-            g = _clamped(g / g.sum(), f"node {graph.labels[i]!r}")
+    chooser, guesser, wagers = (dict.fromkeys(graph.nonterminals) for _ in range(3))
+    errors: list[tuple[int, str]] = []
+    for d, nodes, succ in graph.degree_blocks:
+        if d == 1:
+            p, g, w = np.ones((len(nodes), 1)), np.ones((len(nodes), 1)), np.ones(len(nodes))
         else:
+            weights = u[succ]
+            p = weights / weights.sum(axis=1, keepdims=True)
+            pmin = p.min(axis=1)
+            w = 1.0 - d * beta * pmin
             # numerically zero wager: any guess is payoff-irrelevant, pick
             # uniform (beta = 1 with a uniform chooser row lands here)
-            w = 0.0
-            g = np.full(n, 1.0 / n)
-        chooser[i] = p
-        guesser[i] = g
-        wagers[i] = w
+            live = w > _WAGER_ZERO_TOL
+            w[~live] = 0.0
+            g = np.full(p.shape, 1.0 / d)
+            # the entries are >= 0 and sum to w in exact arithmetic; dividing
+            # by their own sum stays in range when w is tiny and inexact
+            raw = p[live] - (beta * pmin[live])[:, None]
+            raw /= raw.sum(axis=1, keepdims=True)
+            bad = _out_of_range(raw)
+            if bad.any():
+                k = int(bad.argmax())
+                i = int(nodes[live][k])
+                errors.append((i, f"node {graph.labels[i]!r}: {raw[k]}"))
+            g[live] = _clip_rows(raw)
+        nodes = nodes.tolist()
+        chooser.update(zip(nodes, p))
+        guesser.update(zip(nodes, g))
+        wagers.update(zip(nodes, w.tolist()))
+    if errors:
+        raise StrategyError(f"guess probabilities out of range at {min(errors)[1]}")
     return StrategyProfile(beta=float(beta), chooser=chooser, guesser=guesser, wagers=wagers)
 
 
-def _clamped(g: np.ndarray, where: str) -> np.ndarray:
-    low, high = float(g.min()), float(g.max())
-    if low < -_PROB_TOL or high > 1.0 + _PROB_TOL:
-        raise StrategyError(f"guess probabilities out of range at {where}: {g}")
+def _out_of_range(g: np.ndarray) -> np.ndarray:
+    """Whether each row (last axis) of guess probabilities leaves [0, 1] by more than rounding."""
+    return (g.min(axis=-1) < -_PROB_TOL) | (g.max(axis=-1) > 1.0 + _PROB_TOL)
+
+
+def _clip_rows(g: np.ndarray) -> np.ndarray:
     g = np.clip(g, 0.0, 1.0)
-    return g / g.sum()
+    return g / g.sum(axis=-1, keepdims=True)
 
 
 def guess_distribution(profile: StrategyProfile, node: int) -> np.ndarray:
     """Guesser's probability vector at a node (clamped to the simplex)."""
     if node not in profile.guesser:
         raise StrategyError(f"node {node} is terminal or unknown to the profile")
-    return _clamped(profile.guesser[node].copy(), f"node {node}")
+    g = profile.guesser[node]
+    if _out_of_range(g):
+        raise StrategyError(f"guess probabilities out of range at node {node}: {g}")
+    return _clip_rows(g)
 
 
 def chooser_transition_matrix(solution: GameSolution, graph: GameGraph) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import GameGraph, GraphKind, classify
 from .simulate import _best_reply, _move_payoffs, exploit_search
-from .strategy import StrategyProfile
+from .strategy import StrategyProfile, build_profile
 from .values import (
     GameSolution,
     UnsupportedGraphError,
@@ -101,7 +101,7 @@ def certify_fan(values: Sequence[float], profile: StrategyProfile) -> Certificat
     ]
 
     # (b) guesser side: her best reply against the chooser mix
-    _, best = _best_reply(p, vals)
+    best = float(_best_reply(p, vals)[1])
     guesser_gain = float(best - root_value)
     checks.append(
         CheckResult(
@@ -146,10 +146,11 @@ def brute_force_value(graph: GameGraph, depth_limit: int = 60) -> BruteForceBoun
 
     Backward induction over the depth-limited game: each sweep replaces a
     node's bracket with the one-level game value over its successors'
-    brackets.  The upper sweep uses the exact one-level optimum, the
-    harmonic mean; the lower sweep scores the guesser's all-in mix, g_j
-    proportional to 1/v_j at wager 1, by its worst case against the chooser,
-    which never over-states, so the true value stays inside the bracket.
+    brackets, one degree block at a time.  The upper sweep uses the exact
+    one-level optimum, the harmonic mean; the lower sweep scores the
+    guesser's all-in mix, g_j proportional to 1/v_j at wager 1, by its worst
+    case against the chooser, which never over-states, so the true value
+    stays inside the bracket.
     Starting anchors are rigid bounds: v_min(terminals) and
     N^N * v_max(terminals); a graph whose N^N * v_max overflows is refused.
     """
@@ -173,11 +174,12 @@ def brute_force_value(graph: GameGraph, depth_limit: int = 60) -> BruteForceBoun
     for _ in range(depth_limit):
         new_lower = lower.copy()
         new_upper = upper.copy()
-        for i in graph.nonterminals:
-            succ = list(graph.successors[i])
-            new_upper[i] = _fan_value(upper[succ])
-            inv = 1.0 / lower[succ]
-            new_lower[i] = _move_payoffs(inv / inv.sum(), 1.0, lower[succ]).min()
+        for d, nodes, succ in graph.degree_blocks:
+            high, low = upper[succ], lower[succ]
+            new_upper[nodes] = 2.0 * high[:, 0] if d == 1 else d / (1.0 / high).sum(axis=1)
+            inv = 1.0 / low
+            mix = inv / inv.sum(axis=1, keepdims=True)
+            new_lower[nodes] = _move_payoffs(mix, 1.0, low).min(axis=1)
         shift = max(
             float(np.abs(new_lower - lower).max()),
             float(np.abs(new_upper - upper).max()),
@@ -192,12 +194,6 @@ def brute_force_value(graph: GameGraph, depth_limit: int = 60) -> BruteForceBoun
 def _check_depth(depth: int) -> None:
     if depth < 1:
         raise ValueError(f"the backward-induction depth must be at least 1, got {depth}")
-
-
-def _fan_value(vals: np.ndarray) -> float:
-    if len(vals) == 1:
-        return 2.0 * float(vals[0])
-    return len(vals) / float((1.0 / vals).sum())
 
 
 def audit_convergence(graph: GameGraph, steps: int = 400) -> Certificate:
@@ -298,8 +294,9 @@ def certify_graph(
     """Composite certificate used by the command-line ``verify``.
 
     Runs the convergence audit, both-sided deviation searches (terminating
-    graphs) under each beta, and the backward-induction bracket on small
-    graphs.
+    graphs) against the one profile built for each beta, and the
+    backward-induction bracket on small graphs.  A beta's deviation check
+    passes only when both searches converged and neither side gains.
     """
     _check_depth(depth)  # before the audit, on every graph class
     checks: list[CheckResult] = []
@@ -311,15 +308,18 @@ def certify_graph(
 
     if solution.graph_class.is_terminating and graph.nonterminals:
         for beta in betas:
-            dev_c = exploit_search(graph, solution, fixed_side="guesser", beta=beta)
-            dev_g = exploit_search(graph, solution, fixed_side="chooser", beta=beta)
+            profile = build_profile(solution, graph, beta=beta)
+            dev_c = exploit_search(graph, solution, fixed_side="guesser", profile=profile)
+            dev_g = exploit_search(graph, solution, fixed_side="chooser", profile=profile)
             max_c = max(max_c, dev_c.gain)
             max_g = max(max_g, dev_g.gain)
+            converged = dev_c.converged and dev_g.converged
             checks.append(
                 CheckResult(
                     f"no_profitable_deviation_beta_{beta:g}",
-                    dev_c.gain <= GAIN_TOL and dev_g.gain <= GAIN_TOL,
-                    {"chooser_gain": dev_c.gain, "guesser_gain": dev_g.gain},
+                    converged and dev_c.gain <= GAIN_TOL and dev_g.gain <= GAIN_TOL,
+                    {"chooser_gain": dev_c.gain, "guesser_gain": dev_g.gain,
+                     "converged": converged},
                 )
             )
         if graph.num_nodes <= 8:

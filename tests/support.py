@@ -11,8 +11,10 @@ The oracles here are deliberately independent of the library's
 linear-algebra and automaton code paths: cycle gcds come from explicit
 simple-cycle enumeration, string languages from exhaustive enumeration, and
 root references from scipy's root finder.  The wager-grid references keep
-the grid searches that the library's closed-form best replies replaced, and
-the Moore refinement reference the library's Hopcroft minimization.
+the grid searches that the library's closed-form best replies replaced, the
+Moore refinement reference the library's Hopcroft minimization, and the
+per-node loop references the library's degree-blocked profiles, edge tables
+and deviation sweeps.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from pathwager import (
+    ExploitReport,
     GameGraph,
     GraphKind,
+    StrategyError,
+    StrategyProfile,
     build_graph,
     build_profile,
     build_stopping_variant,
@@ -457,6 +462,113 @@ def grid_brute_force_value(graph: GameGraph, grid: int = 1001,
             new_lower[nodes] = grid_lower(lower[succ])
         shift = max(float(np.abs(new_lower - lower).max()),
                     float(np.abs(new_upper - upper).max()))
+        lower, upper = new_lower, new_upper
+        if shift == 0.0:
+            return lower, upper, True
+    return lower, upper, False
+
+
+# -- per-node loop references ------------------------------------------------
+# The library builds profiles, edge tables and deviation sweeps one degree
+# block at a time, as rows of m x d arrays.  These are the per-node loops it
+# replaced, kept to require bit-for-bit equal outputs.
+
+
+def loop_build_profile(solution, graph: GameGraph, beta: float = 1.0) -> StrategyProfile:
+    """``build_profile``, one node at a time."""
+    u = solution.reciprocals
+    chooser, guesser, wagers = {}, {}, {}
+    for i in graph.nonterminals:
+        succ = graph.successors[i]
+        n = len(succ)
+        if n == 1:
+            chooser[i], guesser[i], wagers[i] = np.array([1.0]), np.array([1.0]), 1.0
+            continue
+        weights = u[list(succ)]
+        p = weights / weights.sum()
+        pmin = float(p.min())
+        w = 1.0 - n * beta * pmin
+        if w > 1e-12:
+            g = p - beta * pmin
+            g = g / g.sum()
+            if float(g.min()) < -1e-12 or float(g.max()) > 1.0 + 1e-12:
+                raise StrategyError(
+                    f"guess probabilities out of range at node {graph.labels[i]!r}: {g}")
+            g = np.clip(g, 0.0, 1.0)
+            g = g / g.sum()
+        else:
+            w, g = 0.0, np.full(n, 1.0 / n)
+        chooser[i], guesser[i], wagers[i] = p, g, w
+    return StrategyProfile(beta=float(beta), chooser=chooser, guesser=guesser, wagers=wagers)
+
+
+def loop_edge_tables(graph: GameGraph, profile: StrategyProfile):
+    """``simulate._edge_tables``, one node at a time."""
+    n = graph.num_nodes
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(succ) for succ in graph.successors], out=offsets[1:])
+    dst = np.fromiter((j for succ in graph.successors for j in succ), np.int64, int(offsets[-1]))
+    rows = graph.nonterminals
+    g_cdf = np.concatenate([np.cumsum(profile.guesser[i]) for i in rows])
+    c_cdf = np.concatenate([np.cumsum(profile.chooser[i]) for i in rows])
+    win, lose, value = np.ones(n), np.ones(n), np.zeros(n)
+    for i in rows:
+        w = profile.wagers[i]
+        win[i], lose[i] = 1.0 + max(graph.out_degree(i) - 1, 1) * w, 1.0 - w
+    for k in graph.terminals:
+        value[k] = graph.values[k]
+    return offsets, dst, g_cdf, c_cdf, win, lose, value
+
+
+def loop_exploit_search(graph: GameGraph, solution, fixed_side: str,
+                        profile: StrategyProfile) -> tuple[ExploitReport, int]:
+    """``exploit_search`` against ``profile``, one node at a time, and the
+    number of sweeps it ran."""
+    values = solution.values.copy()
+    deviation: dict[int, object] = {}
+    converged, sweeps = False, 0
+    for sweeps in range(1, 10 * graph.num_nodes + 51):
+        new = values.copy()
+        for i in graph.nonterminals:
+            succ = graph.successors[i]
+            n, cont = len(succ), values[list(succ)]
+            if fixed_side == "guesser":
+                g, w = profile.guesser[i], profile.wagers[i]
+                per_move = (g * (1.0 + max(n - 1, 1) * w) + (1.0 - g) * (1.0 - w)) * cont
+                k = int(np.argmin(per_move))
+                new[i], deviation[i] = per_move[k], succ[k]
+            else:
+                stake = profile.chooser[i] * cont
+                j = int(np.argmax(stake))
+                new[i], deviation[i] = (1.0 + max(n - 1, 1)) * float(stake[j]), (succ[j], 1.0)
+        if float(np.abs(new - values).max()) <= 1e-14 * max(1.0, float(np.abs(new).max())):
+            values, converged = new, True
+            break
+        values = new
+    rows = list(graph.nonterminals)
+    diff = solution.values - values if fixed_side == "guesser" else values - solution.values
+    gain = float(diff[rows].max(initial=0.0))
+    return ExploitReport(fixed_side, values, gain, deviation, converged), sweeps
+
+
+def loop_brute_force_value(graph: GameGraph, depth_limit: int = 60):
+    """(lower, upper, converged) of ``brute_force_value``, one node at a time."""
+    n_nodes = graph.num_nodes
+    v_term = np.array([graph.values[k] for k in graph.terminals])
+    lower = np.full(n_nodes, float(v_term.min()))
+    upper = np.full(n_nodes, float(n_nodes) ** n_nodes * float(v_term.max()))
+    for k in graph.terminals:
+        lower[k] = upper[k] = graph.values[k]
+    for _ in range(depth_limit):
+        new_lower, new_upper = lower.copy(), upper.copy()
+        for i in graph.nonterminals:
+            succ = list(graph.successors[i])
+            n, high, low = len(succ), upper[succ], lower[succ]
+            new_upper[i] = 2.0 * float(high[0]) if n == 1 else n / float((1.0 / high).sum())
+            inv = 1.0 / low
+            g = inv / inv.sum()
+            new_lower[i] = ((g * (1.0 + max(n - 1, 1)) + (1.0 - g) * 0.0) * low).min()
+        shift = max(float(np.abs(new_lower - lower).max()), float(np.abs(new_upper - upper).max()))
         lower, upper = new_lower, new_upper
         if shift == 0.0:
             return lower, upper, True

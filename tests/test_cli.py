@@ -243,6 +243,14 @@ def test_generate_refuses_an_oversized_window(tmp_path, capsys):
     assert err.startswith("error:") and "raw histories" in err and not out.exists()
 
 
+def test_generate_refusal_names_the_stopping_spec(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert dispatch(["generate", "--oracle", "window-stop:300000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window-stop:300000 has more than 200000 raw histories")
+    assert "window:" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("module", ["pathwager", "pathwager.cli"])
 def test_runs_as_a_module_from_the_source_tree(module, fan_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -41,6 +41,13 @@ def test_parse_maps_labels_in_insertion_order():
     assert g.index_of("x") == 2
 
 
+def test_index_of_refuses_unknown_labels():
+    g = parse_graph('{"nodes":["z","y","x"],"edges":[["z","y"],["z","x"]],"values":{"y":1,"x":2}}')
+    assert [g.index_of(lab) for lab in ("x", "z")] == [2, 0]
+    with pytest.raises(GraphError, match="unknown node label 'w'"):
+        g.index_of("w")
+
+
 def test_parse_cycle_with_loop_document():
     doc = '{"nodes":["1","2","3"],"edges":[["1","1"],["1","2"],["2","3"],["3","1"]],"values":{}}'
     g = parse_graph(doc)

@@ -204,6 +204,40 @@ def test_certify_graph_reuses_the_solution(monkeypatch):
             assert certify_graph(g, sol).passed
 
 
+def test_certify_graph_builds_one_profile_per_beta(monkeypatch):
+    g = build_stopping_variant(6)
+    sol = solve(g)
+    betas = []
+
+    def counting(solution, graph, beta=1.0):
+        betas.append(beta)
+        return build_profile(solution, graph, beta=beta)
+
+    monkeypatch.setattr(pathwager.verify, "build_profile", counting)
+    cert = certify_graph(g, sol, betas=(0.0, 0.5, 1.0))
+    assert betas == [0.0, 0.5, 1.0] and cert.passed
+    deviations = [c for c in cert.checks if c.name.startswith("no_profitable_deviation")]
+    assert [c.detail["converged"] for c in deviations] == [True] * 3
+
+
+@pytest.mark.parametrize("stuck", ["guesser", "chooser"])
+def test_certify_graph_fails_an_unconverged_search(monkeypatch, stuck):
+    g = build_stopping_variant(6)
+    sol = solve(g)
+
+    def unconverged(graph, solution, fixed_side, **kwargs):
+        report = exploit_search(graph, solution, fixed_side, **kwargs)
+        assert report.converged and report.gain <= 1e-9
+        report.converged = fixed_side != stuck
+        return report
+
+    monkeypatch.setattr(pathwager.verify, "exploit_search", unconverged)
+    cert = certify_graph(g, sol, betas=(0.5,))
+    check = next(c for c in cert.checks if c.name == "no_profitable_deviation_beta_0.5")
+    assert not check.passed and check.detail["converged"] is False
+    assert not cert.passed and cert.max_chooser_gain <= 1e-9 and cert.max_guesser_gain <= 1e-9
+
+
 def dense_propagation(graph):
     """M assembled from the successor lists: 1 on terminals, 1/2 on a forced
     move, 1/n_i on each of n_i >= 2 moves."""
