@@ -2,8 +2,10 @@
 play, export-dot.
 
 Reports are JSON (CSV where it makes sense) and every report embeds a run
-manifest: the resolved configuration, input digests, tool version, and
-seed, so equal manifests reproduce equal outputs.  Exit codes: 0 success,
+manifest: the resolved configuration, the sha256 of the graph bytes that
+were parsed, tool version, and seed, so equal manifests reproduce equal
+outputs.  All JSON, graph files included, is written by ``writer._dumps``,
+byte for byte as ``json.dumps(obj, indent=2)``.  Exit codes: 0 success,
 1 validation error, 2 verification failure.
 """
 
@@ -11,12 +13,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from . import __version__
 from .graph import GameGraph, GraphError, GraphKind, parse_graph, serialize_graph, to_dot
@@ -26,6 +25,7 @@ from .simulate import SimulationConfig, StepRng, _multipliers, _pick, run
 from .strategy import StrategyError, build_profile
 from .values import ConvergenceError, UnsupportedGraphError, _truncation_series, solve
 from .verify import certify_graph
+from .writer import _dumps
 
 SEED_ENV_VAR = "PATHWAGER_SEED"
 
@@ -39,16 +39,11 @@ class RunManifest:
     seed: int | None = None
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
+def _load_graph(path: str) -> tuple[GameGraph, str]:
+    """The graph in the file and the sha256 of the very bytes it was parsed from."""
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _load_graph(path: str) -> GameGraph:
-    with open(path) as fh:
-        return parse_graph(fh.read())
+        data = fh.read()
+    return parse_graph(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
 
 
 def _resolve_seed(args) -> int:
@@ -63,23 +58,23 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _emit(report: dict, args, **extra) -> None:
+def _emit(report: dict, args, digest: str, **extra) -> None:
     """Attach the run manifest and write the report as JSON.
 
     The manifest's config holds every parsed option that is set, overridden
-    by ``extra`` (values the handler resolved, such as the seed).  Every
-    caller has loaded ``args.graph``.
+    by ``extra`` (values the handler resolved, such as the seed).  ``digest``
+    is the sha256 ``_load_graph`` returned for ``args.graph``.
     """
     config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     config.update(extra)
     manifest = RunManifest(
         subcommand=args.subcommand,
         config=dict(sorted(config.items())),
-        input_digests={args.graph: _digest(args.graph)},
+        input_digests={args.graph: digest},
         seed=config.get("seed"),
     )
     report["manifest"] = asdict(manifest)
-    _write(json.dumps(report, indent=2, default=_jsonable), args)
+    _write(_dumps(report), args)
 
 
 def _write(text: str, args) -> None:
@@ -90,14 +85,6 @@ def _write(text: str, args) -> None:
         print(text)
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -106,44 +93,44 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_solve(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, digest = _load_graph(args.graph)
     solution = solve(graph, exact=args.exact)
     report = solution.to_dict()
     if args.truncate is not None:
         series = _truncation_series(solution, args.truncate)
         report["residuals"] = series.residuals.tolist()
-    _emit(report, args)
+    _emit(report, args, digest)
     return 0
 
 
 def _cmd_strategy(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, digest = _load_graph(args.graph)
     solution = solve(graph)
     profile = build_profile(solution, graph, beta=args.beta)
     report = profile.to_dict(graph)
-    _emit(report, args)
+    _emit(report, args, digest)
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, digest = _load_graph(args.graph)
     solution = solve(graph)
     report_obj = analyze(solution, t_max=args.tmax)
     if args.format == "csv":
         if report_obj.stopping is None:
             raise UnsupportedGraphError("CSV output is for stopping-time series (terminating graphs)")
+        row = "%d," + ",".join(["%.12g"] * len(graph.nonterminals))
         lines = ["t," + ",".join(graph.labels[i] for i in graph.nonterminals)]
-        for t, row in enumerate(report_obj.stopping.stop_dist, start=1):
-            lines.append(f"{t}," + ",".join(_fmt(x) for x in row))
+        lines += [row % (t, *q) for t, q in enumerate(report_obj.stopping.stop_dist.tolist(), 1)]
         _write("\n".join(lines), args)
         return 0
     report = report_obj.to_dict(graph)
-    _emit(report, args)
+    _emit(report, args, digest)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, digest = _load_graph(args.graph)
     solution = solve(graph)
     profile = build_profile(solution, graph, beta=args.beta)
     seed = _resolve_seed(args)
@@ -167,20 +154,12 @@ def _cmd_simulate(args) -> int:
     )
     result = run(config)
     if args.format == "csv":
+        names = [*graph.labels, ""]  # terminal node -1 (none reached) names ""
+        columns = zip(range(args.reps), result.stopping_times.tolist(),
+                      map(names.__getitem__, result.terminal_nodes.tolist()),
+                      result.final_fortunes.tolist(), result.censored.tolist())
         lines = ["rep,stopping_time,terminal,final_fortune,censored"]
-        for rep in range(args.reps):
-            term = result.terminal_nodes[rep]
-            lines.append(
-                ",".join(
-                    [
-                        str(rep),
-                        str(int(result.stopping_times[rep])),
-                        graph.labels[term] if term >= 0 else "",
-                        _fmt(float(result.final_fortunes[rep])),
-                        str(int(result.censored[rep])),
-                    ]
-                )
-            )
+        lines += ["%d,%d,%s,%.12g,%d" % row for row in columns]
         _write("\n".join(lines), args)
         return 0
     report = {
@@ -188,7 +167,7 @@ def _cmd_simulate(args) -> int:
         "start": graph.labels[start],
         "value_at_start": float(solution.values[start]),
     }
-    _emit(report, args, seed=seed)
+    _emit(report, args, digest, seed=seed)
     return 0
 
 
@@ -200,17 +179,17 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, digest = _load_graph(args.graph)
     solution = solve(graph)
     betas = (args.beta,) if args.beta is not None else (0.0, 0.5, 1.0)
     certificate = certify_graph(graph, solution, betas=betas, depth=args.depth)
     report = certificate.to_dict()
-    _emit(report, args)
+    _emit(report, args, digest)
     return 0 if certificate.passed else 2
 
 
 def _cmd_export_dot(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, _ = _load_graph(args.graph)
     profile = None
     if args.beta is not None:
         solution = solve(graph)
@@ -352,11 +331,11 @@ def _ask_move(ask, say, graph: GameGraph, succ, prompt: str) -> int:
 
 
 def _cmd_play(args) -> int:
-    graph = _load_graph(args.graph)
+    graph, _ = _load_graph(args.graph)
     seed = _resolve_seed(args)
     transcript = play_repl(graph, args.side, beta=args.beta, seed=seed)
     if args.out:
-        _write(json.dumps(transcript, indent=2), args)
+        _write(_dumps(transcript), args)
     return 0
 
 

@@ -20,6 +20,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .writer import _dumps
+
 
 class GraphError(ValueError):
     """Raised for malformed or invalid game-graph input."""
@@ -316,9 +318,9 @@ def parse_graph(text: str) -> GameGraph:
     return build_graph(nodes, pairs, values, edge_labels=edge_labels)
 
 
-def serialize_graph(g: GameGraph, indent: int = 2) -> str:
+def serialize_graph(g: GameGraph) -> str:
     """Serialize to the JSON wire format; parse(serialize(g)) == g."""
-    return json.dumps(g.to_dict(), indent=indent)
+    return _dumps(g.to_dict())
 
 
 # -- classification ------------------------------------------------------

@@ -8,8 +8,8 @@ A, B of the propagation operator and the value diagonal V:
     q_t = V_nt A^{t-1} B V_t^{-1} 1
     rho = V_nt (I - A)^{-1} B V_t^{-1}
 
-A and B are never formed: tau and rho come from the values' component walk
-with a block of right-hand sides, and q_t runs in the same component order.
+A and B are never formed: tau, rho and q_t come from one component walk,
+sinks first, that builds each cyclic component's dense block once.
 
 For strongly connected aperiodic graphs: the invariant measure of the
 position walk (entrywise product of the scaled Perron eigenvectors) and the
@@ -28,7 +28,7 @@ import numpy as np
 
 from .graph import GameGraph, GraphKind
 from .values import ConvergenceError, GameSolution, UnsupportedGraphError
-from .values import _component_block, _solve_by_components
+from .values import _component_block
 
 _VALUE_FAIR_TOL = 1e-10
 _STATIONARY_TOL = 1e-10
@@ -73,27 +73,18 @@ class MarkovReport:
             "fairness_reason": self.fairness.reason,
         }
         if self.stopping is not None:
-            nt = graph.nonterminals
-            t = graph.terminals
-            doc["expected_stopping_times"] = {
-                labels[i]: float(x) for i, x in zip(nt, self.stopping.tau)
-            }
+            nt = [labels[i] for i in graph.nonterminals]
+            t = [labels[k] for k in graph.terminals]
+            doc["expected_stopping_times"] = dict(zip(nt, self.stopping.tau.tolist()))
             doc["terminal_probabilities"] = {
-                labels[i]: {labels[k]: float(p) for k, p in zip(t, row)}
-                for i, row in zip(nt, self.stopping.terminal_probs)
+                lab: dict(zip(t, row)) for lab, row in zip(nt, self.stopping.terminal_probs.tolist())
             }
-            doc["stopping_tail_mass"] = {
-                labels[i]: float(x) for i, x in zip(nt, self.stopping.tail_mass)
-            }
+            doc["stopping_tail_mass"] = dict(zip(nt, self.stopping.tail_mass.tolist()))
             doc["t_max"] = self.t_max
         if self.invariant is not None:
-            doc["invariant_measure"] = {
-                lab: float(x) for lab, x in zip(labels, self.invariant)
-            }
+            doc["invariant_measure"] = dict(zip(labels, self.invariant.tolist()))
         if self.steady_fortunes is not None:
-            doc["steady_fortune_shape"] = {
-                lab: float(x) for lab, x in zip(labels, self.steady_fortunes.shape)
-            }
+            doc["steady_fortune_shape"] = dict(zip(labels, self.steady_fortunes.shape.tolist()))
             if self.steady_fortunes.c_estimate is not None:
                 doc["c_estimate"] = self.steady_fortunes.c_estimate
                 doc["c_stderr"] = self.steady_fortunes.c_stderr
@@ -110,27 +101,31 @@ def stopping_analysis(solution: GameSolution, graph: GameGraph, t_max: int) -> S
         raise UnsupportedGraphError("stopping analysis requires a terminating graph")
     nt, t = list(graph.nonterminals), list(graph.terminals)
     v_nt, u = solution.values[nt], solution.reciprocals
-
-    # tau and rho: one solve with the columns [u_nt | diag(u_t)], then scaled by V_nt
-    z = np.zeros((graph.num_nodes, 1 + len(t)))
-    z[nt, 0], z[t, 1 + np.arange(len(t))] = u[nt], u[t]
-    _solve_by_components(graph, z)
-    z[nt] *= v_nt[:, None]
-    # q_t = V_nt c_t with c_1 = B u_t and c_{t+1} = A c_t; c[i, s] holds (c_s)_i
-    c = np.zeros((graph.num_nodes, t_max + 1))
-    c[t, 0] = u[t]
+    # w = [z | c]: tau, rho = V_nt z for (I - A) z = [u_nt | diag(u_t)], and q_t = V_nt c_t
+    # for c_1 = B u_t, c_{t+1} = A c_t; [z | c_1..] takes its inflow from [z | c_0..]
+    k = 1 + len(t)
+    w = np.zeros((graph.num_nodes, k + t_max + 1))
+    w[nt, 0], w[t, 1 + np.arange(len(t))], w[t, k] = u[nt], u[t], u[t]
+    src = w[:, :-1]
     for comp in graph.components:
         i, succ = comp[0], graph.successors[comp[0]]
         if graph.is_cyclic(comp):
-            local = np.zeros((t_max + 1, len(comp)))  # local[s] = c_s on the component
-            block = _component_block(graph, comp, c[:, :-1], local[1:].T)  # shifted inflow
+            rows = list(comp)
+            inflow = src[rows]  # [z | 0]: no c_s is set on the component yet
+            block = _component_block(graph, comp, src, inflow)  # one edge loop for both
+            # values' solve has factored this same I - A_cc, so it is not singular
+            w[rows, :k] = np.linalg.solve(np.eye(len(comp)) - block, inflow[:, :k])
+            local = np.vstack([np.zeros(len(comp)), inflow[:, k:].T])  # local[s] = c_s
             for prev, row in zip(local, local[1:]):
                 row += block.dot(prev)
-            c[list(comp)] = local.T
+            w[rows, k:] = local.T
         elif succ:
-            c[i, 1:] = sum(c[j, :-1] for j in succ) / (2 if len(succ) == 1 else len(succ))
-    stop_dist = v_nt * c[nt, 1:].T
-    return StoppingStats(tau=z[nt, 0], stop_dist=stop_dist, terminal_probs=z[nt, 1:],
+            inflow = sum(src[j] for j in succ) / (2 if len(succ) == 1 else len(succ))
+            w[i, :k] += inflow[:k]
+            w[i, k + 1:] = inflow[k:]
+    stop_dist = v_nt * w[nt, k + 1:].T
+    return StoppingStats(tau=v_nt * w[nt, 0], stop_dist=stop_dist,
+                         terminal_probs=v_nt[:, None] * w[nt, 1:k],
                          tail_mass=1.0 - stop_dist.sum(axis=0))
 
 

@@ -148,7 +148,7 @@ class SimulationResult:
                     "se": _se(fortune),
                 }
             freq = self.visits / self.visits.sum()
-            out["occupancy"] = {lab: float(f) for lab, f in zip(graph.labels, freq)}
+            out["occupancy"] = dict(zip(graph.labels, freq.tolist()))
         else:
             live = ~self.censored
             out["censored"] = int(self.censored.sum())

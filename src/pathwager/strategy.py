@@ -49,11 +49,11 @@ class StrategyProfile:
     def to_dict(self, graph: GameGraph) -> dict:
         nodes = {}
         for i in graph.nonterminals:
-            succ = graph.successors[i]
+            succ = [graph.labels[j] for j in graph.successors[i]]
             nodes[graph.labels[i]] = {
                 "wager": self.wagers[i],
-                "chooser": {graph.labels[j]: float(p) for j, p in zip(succ, self.chooser[i])},
-                "guesser": {graph.labels[j]: float(p) for j, p in zip(succ, self.guesser[i])},
+                "chooser": dict(zip(succ, self.chooser[i].tolist())),
+                "guesser": dict(zip(succ, self.guesser[i].tolist())),
             }
         return {"beta": self.beta, "nodes": nodes}
 

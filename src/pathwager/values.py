@@ -240,10 +240,10 @@ def _solve_values(graph: GameGraph, cls: GraphClass, exact: bool) -> GameSolutio
     return GameSolution(graph, cls, 1.0 / recips, recips, edges)
 
 
-def _solve_by_components(graph: GameGraph, z: list | np.ndarray) -> None:
-    """Overwrite each row r_i of z with the solution of (I - A) z = r, sinks first.
+def _solve_by_components(graph: GameGraph, z: list) -> None:
+    """Overwrite each entry r_i of z with the solution of (I - A) z = r, sinks first.
 
-    Rows are floats, Fractions, or vectors of right-hand sides; terminals stay.
+    Entries are floats or Fractions; terminals stay.
     """
     for comp in graph.components:
         i, succ = comp[0], graph.successors[comp[0]]
@@ -254,8 +254,8 @@ def _solve_by_components(graph: GameGraph, z: list | np.ndarray) -> None:
                 solved = np.linalg.solve(np.subtract(np.eye(len(comp)), block, out=block), rhs)
             except np.linalg.LinAlgError as exc:  # impossible for valid input
                 raise ConvergenceError(f"singular system on a cyclic component: {exc}") from exc
-            for i, row in zip(comp, solved.tolist() if solved.ndim == 1 else solved):
-                z[i] = row
+            for i, x in zip(comp, solved.tolist()):
+                z[i] = x
         elif succ:
             z[i] = z[i] + sum(map(z.__getitem__, succ)) / (2 if len(succ) == 1 else len(succ))
 

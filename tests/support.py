@@ -12,9 +12,10 @@ linear-algebra and automaton code paths: cycle gcds come from explicit
 simple-cycle enumeration, string languages from exhaustive enumeration, and
 root references from scipy's root finder.  The wager-grid references keep
 the grid searches that the library's closed-form best replies replaced, the
-Moore refinement reference the library's Hopcroft minimization, and the
+Moore refinement reference the library's Hopcroft minimization, the
 per-node loop references the library's degree-blocked profiles, edge tables
-and deviation sweeps.
+and deviation sweeps, the two-walk stopping analysis the library's single
+component walk, and the per-cell CSV loops the library's row formats.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from pathwager import (
     stopping_analysis,
     truncated_values,
 )
+from pathwager.markov import StoppingStats
+from pathwager.values import _component_block
 
 _VALUE_POOL = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0]
 
@@ -573,3 +576,62 @@ def loop_brute_force_value(graph: GameGraph, depth_limit: int = 60):
         if shift == 0.0:
             return lower, upper, True
     return lower, upper, False
+
+
+def two_walk_stopping(solution, graph: GameGraph, t_max: int) -> StoppingStats:
+    """``stopping_analysis`` as two component walks, each building its own blocks."""
+    nt, t = list(graph.nonterminals), list(graph.terminals)
+    v_nt, u = solution.values[nt], solution.reciprocals
+    z = np.zeros((graph.num_nodes, 1 + len(t)))
+    z[nt, 0], z[t, 1 + np.arange(len(t))] = u[nt], u[t]
+    for comp in graph.components:
+        i, succ = comp[0], graph.successors[comp[0]]
+        if graph.is_cyclic(comp):
+            rhs = z[list(comp)]
+            block = _component_block(graph, comp, z, rhs)
+            z[list(comp)] = np.linalg.solve(np.eye(len(comp)) - block, rhs)
+        elif succ:
+            z[i] = z[i] + sum(map(z.__getitem__, succ)) / (2 if len(succ) == 1 else len(succ))
+    z[nt] *= v_nt[:, None]
+    c = np.zeros((graph.num_nodes, t_max + 1))
+    c[t, 0] = u[t]
+    for comp in graph.components:
+        i, succ = comp[0], graph.successors[comp[0]]
+        if graph.is_cyclic(comp):
+            local = np.zeros((t_max + 1, len(comp)))
+            block = _component_block(graph, comp, c[:, :-1], local[1:].T)
+            for prev, row in zip(local, local[1:]):
+                row += block.dot(prev)
+            c[list(comp)] = local.T
+        elif succ:
+            c[i, 1:] = sum(c[j, :-1] for j in succ) / (2 if len(succ) == 1 else len(succ))
+    stop_dist = v_nt * c[nt, 1:].T
+    return StoppingStats(tau=z[nt, 0], stop_dist=stop_dist, terminal_probs=z[nt, 1:],
+                         tail_mass=1.0 - stop_dist.sum(axis=0))
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def cell_loop_stopping_csv(graph: GameGraph, stop_dist: np.ndarray) -> str:
+    """``analyze --format csv``, one formatted cell at a time."""
+    lines = ["t," + ",".join(graph.labels[i] for i in graph.nonterminals)]
+    for t, row in enumerate(stop_dist, start=1):
+        lines.append(f"{t}," + ",".join(_fmt(x) for x in row))
+    return "\n".join(lines)
+
+
+def cell_loop_simulation_csv(graph: GameGraph, result) -> str:
+    """``simulate --format csv``, one formatted cell at a time."""
+    lines = ["rep,stopping_time,terminal,final_fortune,censored"]
+    for rep in range(len(result.final_fortunes)):
+        term = result.terminal_nodes[rep]
+        lines.append(",".join([
+            str(rep),
+            str(int(result.stopping_times[rep])),
+            graph.labels[term] if term >= 0 else "",
+            _fmt(float(result.final_fortunes[rep])),
+            str(int(result.censored[rep])),
+        ]))
+    return "\n".join(lines)

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, manifests, the REPL."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -351,6 +352,38 @@ def test_export_dot(fan_path, capsys):
     assert dispatch(["export-dot", "--graph", fan_path, "--beta", "1"]) == 0
     out = capsys.readouterr().out
     assert "digraph" in out and "doublecircle" in out and "w=" in out
+
+
+def test_manifest_digests_the_bytes_that_were_parsed(fan_path, tmp_path, capsys, monkeypatch):
+    _, lf = run_json(["solve", "--graph", fan_path], capsys)
+    assert lf["manifest"]["input_digests"][fan_path] == hashlib.sha256(FAN24.encode()).hexdigest()
+
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(json.dumps(json.loads(FAN24), indent=2).replace("\n", "\r\n").encode())
+    _, doc = run_json(["solve", "--graph", str(crlf)], capsys)
+    assert doc["manifest"]["input_digests"] == {
+        str(crlf): hashlib.sha256(crlf.read_bytes()).hexdigest()}
+    assert doc["values"] == lf["values"]
+
+    # a file rewritten after it was read: the digest is of the bytes that were solved
+    parse = pathwager.cli.parse_graph
+
+    def parse_then_rewrite(text):
+        crlf.write_text(FAN24.replace('"a":2', '"a":3'))
+        return parse(text)
+
+    monkeypatch.setattr(pathwager.cli, "parse_graph", parse_then_rewrite)
+    before = hashlib.sha256(crlf.read_bytes()).hexdigest()
+    _, again = run_json(["solve", "--graph", str(crlf)], capsys)
+    assert again == doc and again["manifest"]["input_digests"][str(crlf)] == before
+
+
+def test_invalid_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(FAN24.replace("root", "r\u00f6ot").encode("latin-1"))
+    assert dispatch(["solve", "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "utf-8" in captured.err
 
 
 def test_manifest_reproducibility(fan_path, capsys):

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pathwager.markov
+import pathwager.values
 import support
 from pathwager import (
     analyze,
@@ -22,7 +24,7 @@ from pathwager import (
     steady_state_fortunes,
     stopping_analysis,
 )
-from pathwager.values import ConvergenceError, UnsupportedGraphError
+from pathwager.values import ConvergenceError, UnsupportedGraphError, _component_block
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -110,6 +112,29 @@ def test_stopping_analysis_matches_dense_reference(terminating_corpus):
         for got, want in ((stats.tau, tau), (stats.terminal_probs, rho), (stats.stop_dist, q)):
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_stopping_analysis_builds_each_block_once(monkeypatch):
+    calls = []
+
+    def counted(graph, comp, *args):
+        calls.append(comp)
+        return _component_block(graph, comp, *args)
+
+    monkeypatch.setattr(pathwager.markov, "_component_block", counted)
+    monkeypatch.setattr(pathwager.values, "_component_block", counted)
+    for n in range(5, 61):
+        g = build_stopping_variant(n)
+        sol = solve(g)
+        calls.clear()
+        stats = stopping_analysis(sol, g, t_max=60)
+        assert calls == [c for c in g.components if g.is_cyclic(c)] and calls, n
+        ref = support.two_walk_stopping(sol, g, 60)  # builds every block twice
+        for field in ("tau", "stop_dist", "terminal_probs", "tail_mass"):
+            got, want = getattr(stats, field), getattr(ref, field)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, field)
+        tau, rho, q = _dense_stopping(g, sol, 60)
+        assert np.abs(stats.stop_dist - q).max() <= 1e-12 * np.abs(q).max(), n
 
 
 def test_stopping_analysis_forms_no_dense_matrix():
