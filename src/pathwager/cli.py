@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
     solution = solve(graph)
     profile = build_profile(solution, graph, beta=args.beta)
     seed = _resolve_seed(args)
-    start = graph.index_of(args.start) if args.start else graph.nonterminals[0]
+    start = graph.index_of(args.start) if args.start else _first_nonterminal(graph)
     discount = None
     horizon = args.horizon
     if solution.graph_class.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
@@ -198,6 +198,12 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+def _first_nonterminal(graph: GameGraph) -> int:
+    if not graph.nonterminals:
+        raise ValueError("the graph has no non-terminal node to play from")
+    return graph.nonterminals[0]
+
+
 # -- interactive play ---------------------------------------------------------
 
 
@@ -239,7 +245,7 @@ def play_repl(
     solution = solve(graph)
     profile = build_profile(solution, graph, beta=beta)
     rng = StepRng(seed=seed)
-    node = graph.nonterminals[0]
+    node = _first_nonterminal(graph)
     fortune = 1.0
     rounds: list[dict] = []
     say(f"you are the {human_side}; play starts at node {graph.labels[node]!r} with $1")

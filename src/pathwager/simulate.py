@@ -16,7 +16,9 @@ successors and both players' CDFs over them fill row i of flat per-edge
 tables; a vectorised bisection in that row picks the guess and the move, the
 index ``searchsorted(cdf, u, side="right")`` capped at degree - 1, as
 ``play_step`` takes it.  Replications drop out at a terminal; strongly
-connected games instead run a fixed horizon, discounted every step.
+connected games instead run a fixed horizon, discounted every step.  One
+Philox call draws a span of steps for all live replications, at most
+``_DRAW_BUDGET`` blocks, so the span shrinks as the live count grows.
 
 ``exploit_search`` sweeps best replies over ``GameGraph.degree_blocks``, one
 m x d array pass per out-degree d and sweep.
@@ -43,6 +45,7 @@ _PHILOX_M1 = np.uint64(0xCD9E8D57)
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _DEFAULT_MAX_STEPS = 10**5
+_DRAW_BUDGET = 8192  # Philox blocks the step kernel draws ahead
 _CENSOR_WARN_RATE = 0.01
 
 
@@ -61,17 +64,19 @@ def _philox_block(c0, c1, c2, c3, k0: int, k1: int):
     return c0, c1, c2, c3
 
 
-def step_uniforms(seed: int, reps: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent uniforms in [0, 1) per replication for a given step.
+def step_uniforms(seed: int, reps: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent uniforms in [0, 1) per replication and step.
 
-    The counter is (step, rep_low, rep_high, 0) and the key is the 64-bit
-    seed, so every (seed, replication, step) triple owns its own block.
-    Each uniform packs 53 bits from two 32-bit output words.
+    ``steps`` is one step, or an array that broadcasts against ``reps`` (a
+    column of steps gives one row per step).  The counter is (step, rep_low,
+    rep_high, 0) and the key is the 64-bit seed, so every (seed,
+    replication, step) triple owns its own block.  Each uniform packs 53
+    bits from two 32-bit output words.
     """
     reps = np.asarray(reps, dtype=np.uint64)
     seed = seed % (1 << 64)
     w0, w1, w2, w3 = _philox_block(
-        np.uint64(step & 0xFFFFFFFF), reps & _LO32, reps >> _SHIFT32, np.uint64(0),
+        np.asarray(steps, dtype=np.uint64) & _LO32, reps & _LO32, reps >> _SHIFT32, np.uint64(0),
         seed & 0xFFFFFFFF, seed >> 32,
     )
     u1 = (((w0 >> np.uint64(5)) << np.uint64(26)) | (w1 >> np.uint64(6))) / 9007199254740992.0
@@ -266,7 +271,8 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
     max_steps.  Strongly connected games (where none drops out) are discounted
     every step and record checkpoints and per-node visit counts (per
     replication too if the config asks for it); terminating games pass
-    ``discount`` = 1.0, by which multiplying is exact.
+    ``discount`` = 1.0, by which multiplying is exact.  A replication that
+    drops out leaves the rest of its column of drawn uniforms unread.
     """
     graph, reps = config.graph, config.replications
     horizon = kind is GraphKind.STRONGLY_CONNECTED_APERIODIC
@@ -283,31 +289,42 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
     occupancy = np.zeros((reps, graph.num_nodes), dtype=np.int64) if track else None
     records: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     active = np.arange(reps, dtype=np.int64)
+    rows = slice(None)  # state and fortune whole until a replication drops out
 
-    for t in range(config.max_steps):
-        if active.size == 0:
-            break
-        u_guess, u_choice = step_uniforms(config.seed, active, t)
-        nodes = state[active]
-        first, last = offsets[nodes], offsets[nodes + 1] - 1
-        guess = _bisect(g_cdf, first, last, u_guess, rounds)
-        choice = _bisect(c_cdf, first, last, u_choice, rounds)
-        nxt = dst[choice]
-        fortune[active] *= discount * np.where(guess == choice, win[nodes], lose[nodes])
-        state[active] = nxt
-        if horizon:
-            visits += np.bincount(nxt, minlength=graph.num_nodes)
-        if occupancy is not None:
-            occupancy[active, nxt] += 1
-        if t + 1 in checkpoints:
-            records[t + 1] = (state.copy(), fortune.copy())
-        absorbed = is_terminal[nxt]
-        if absorbed.any():
-            done = active[absorbed]
-            fortune[done] *= value[nxt[absorbed]]
-            stop_time[done] = t + 1
-            terminal_node[done] = nxt[absorbed]
-            active = active[~absorbed]
+    t = 0
+    while t < config.max_steps and active.size:
+        span = max(1, min(_DRAW_BUDGET // active.size, config.max_steps - t))
+        # one id per block drawn; a scalar step spares Philox's first rounds
+        ids, steps = (active, t) if span == 1 else (
+            np.tile(active, span), np.arange(t, t + span, dtype=np.uint64).repeat(active.size))
+        block = step_uniforms(config.seed, ids, steps)
+        cols = slice(None)  # the live replications' columns of the block
+        for u_guess, u_choice in zip(*(u.reshape(span, -1) for u in block)):
+            nodes = state[rows]
+            first, last = offsets[nodes], offsets[nodes + 1] - 1
+            guess = _bisect(g_cdf, first, last, u_guess[cols], rounds)
+            choice = _bisect(c_cdf, first, last, u_choice[cols], rounds)
+            nxt = dst[choice]
+            fortune[rows] *= discount * np.where(guess == choice, win[nodes], lose[nodes])
+            state[rows] = nxt  # ``nodes`` may view ``state``: it is not read again
+            t += 1
+            if horizon:
+                visits += np.bincount(nxt, minlength=graph.num_nodes)
+            if occupancy is not None:
+                occupancy[active, nxt] += 1
+            if t in checkpoints:
+                records[t] = (state.copy(), fortune.copy())
+            absorbed = is_terminal[nxt]
+            if absorbed.any():
+                done = active[absorbed]
+                fortune[done] *= value[nxt[absorbed]]
+                stop_time[done] = t
+                terminal_node[done] = nxt[absorbed]
+                keep = ~absorbed
+                rows = active = active[keep]
+                cols = np.flatnonzero(keep) if isinstance(cols, slice) else cols[keep]
+                if not active.size:
+                    break
 
     censored = np.zeros(reps, dtype=bool)
     censored[active] = not horizon  # a fixed horizon censors no replication

@@ -15,7 +15,8 @@ the grid searches that the library's closed-form best replies replaced, the
 Moore refinement reference the library's Hopcroft minimization, the
 per-node loop references the library's degree-blocked profiles, edge tables
 and deviation sweeps, the two-walk stopping analysis the library's single
-component walk, and the per-cell CSV loops the library's row formats.
+component walk, the per-cell CSV loops the library's row formats, and the
+per-step walk the step kernel's block-at-a-time Philox draws.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ from pathwager import (
     truncated_values,
 )
 from pathwager.markov import StoppingStats
+from pathwager.simulate import (
+    _CENSOR_WARN_RATE,
+    SimulationResult,
+    _bisect,
+    _edge_tables,
+    step_uniforms,
+)
 from pathwager.values import _component_block
 
 _VALUE_POOL = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0]
@@ -635,3 +643,75 @@ def cell_loop_simulation_csv(graph: GameGraph, result) -> str:
             str(int(result.censored[rep])),
         ]))
     return "\n".join(lines)
+
+
+# -- per-step kernel reference -----------------------------------------------
+
+
+def stepwise_walk(config, kind: GraphKind, discount: float, checkpoints: set):
+    """``simulate._walk`` drawing one step's uniforms per Philox call, and
+    reading and writing the replications' state through ``active`` gathers."""
+    graph, reps = config.graph, config.replications
+    horizon = kind is GraphKind.STRONGLY_CONNECTED_APERIODIC
+    offsets, dst, g_cdf, c_cdf, win, lose, value = _edge_tables(graph, config.profile)
+    rounds = (int(np.diff(offsets).max()) - 1).bit_length()
+    is_terminal = offsets[:-1] == offsets[1:]
+
+    state = np.full(reps, config.start, dtype=np.int64)
+    fortune = np.ones(reps)
+    stop_time = np.full(reps, config.max_steps, dtype=np.int64)
+    terminal_node = np.full(reps, -1, dtype=np.int64)
+    visits = np.zeros(graph.num_nodes, dtype=np.int64) if horizon else None
+    track = horizon and config.track_occupancy
+    occupancy = np.zeros((reps, graph.num_nodes), dtype=np.int64) if track else None
+    records: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    active = np.arange(reps, dtype=np.int64)
+
+    for t in range(config.max_steps):
+        if active.size == 0:
+            break
+        u_guess, u_choice = step_uniforms(config.seed, active, t)
+        nodes = state[active]
+        first, last = offsets[nodes], offsets[nodes + 1] - 1
+        guess = _bisect(g_cdf, first, last, u_guess, rounds)
+        choice = _bisect(c_cdf, first, last, u_choice, rounds)
+        nxt = dst[choice]
+        fortune[active] *= discount * np.where(guess == choice, win[nodes], lose[nodes])
+        state[active] = nxt
+        if horizon:
+            visits += np.bincount(nxt, minlength=graph.num_nodes)
+        if occupancy is not None:
+            occupancy[active, nxt] += 1
+        if t + 1 in checkpoints:
+            records[t + 1] = (state.copy(), fortune.copy())
+        absorbed = is_terminal[nxt]
+        if absorbed.any():
+            done = active[absorbed]
+            fortune[done] *= value[nxt[absorbed]]
+            stop_time[done] = t + 1
+            terminal_node[done] = nxt[absorbed]
+            active = active[~absorbed]
+
+    censored = np.zeros(reps, dtype=bool)
+    censored[active] = not horizon  # a fixed horizon censors no replication
+    result = SimulationResult(
+        config=config, kind=kind, final_fortunes=fortune, stopping_times=stop_time,
+        terminal_nodes=terminal_node, censored=censored, checkpoints=records, visits=visits,
+        occupancy=occupancy,
+    )
+    rate = censored.mean()
+    if rate > _CENSOR_WARN_RATE:
+        result.warnings.append(
+            f"{rate:.2%} of replications were censored at max_steps={config.max_steps}; "
+            "fortune statistics exclude them"
+        )
+    return result
+
+
+def slow_ring(k: int = 32):
+    """A ring whose nodes move one or two steps on; only r0 may also exit,
+    so optimal play wanders the ring for many steps before absorbing."""
+    labels = [f"r{i}" for i in range(k)] + ["exit"]
+    edges = [(f"r{i}", f"r{(i + d) % k}") for i in range(k) for d in (1, 2)]
+    edges.append(("r0", "exit"))
+    return build_graph(labels, edges, {"exit": 1})

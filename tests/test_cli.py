@@ -71,6 +71,18 @@ def test_solve_rejects_unsupported_graph(tmp_path, capsys):
     assert "periodic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["play", "--as", "chooser"],
+                                  ["play", "--as", "guesser"]])
+def test_play_and_simulate_reject_a_graph_without_moves(argv, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "lone.json"
+    path.write_text('{"nodes":["t"],"edges":[],"values":{"t":2}}')
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert dispatch([*argv, "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the graph has no non-terminal node to play from\n"
+
+
 def test_solve_missing_file_is_input_error(capsys):
     assert dispatch(["solve", "--graph", "/nonexistent.json"]) == 1
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import support
 
 from pathwager import (
     SimulationConfig,
@@ -14,6 +15,7 @@ from pathwager import (
     StrategyProfile,
     build_graph,
     build_profile,
+    build_stopping_variant,
     build_window_game,
     exploit_search,
     invariant_measure,
@@ -23,6 +25,8 @@ from pathwager import (
     step_uniforms,
     stopping_analysis,
 )
+from pathwager import simulate
+from pathwager.graph import GraphKind, classify
 from pathwager.simulate import _best_reply, _philox_block
 
 
@@ -168,6 +172,109 @@ def test_run_memory_is_linear_in_edges():
         tracemalloc.stop()
     assert (result.stopping_times == 1).all()
     assert peak < 10 * 2**20, peak
+
+
+def test_column_of_steps_matches_per_step_draws():
+    reps, steps = np.array([0, 3, 7, 2**40 + 5]), np.array([0, 1, 9, 2**32 + 1, 10**5])
+    u_guess, u_choice = step_uniforms(17, reps, steps[:, None])
+    assert u_guess.shape == u_choice.shape == (len(steps), len(reps))
+    for row, t in enumerate(steps.tolist()):
+        g, c = step_uniforms(17, reps, t)
+        assert u_guess[row].tobytes() == g.tobytes() and u_choice[row].tobytes() == c.tobytes()
+
+
+def assert_same_result(result, reference):
+    for name in ("final_fortunes", "stopping_times", "terminal_nodes", "censored",
+                 "visits", "occupancy"):
+        got, want = getattr(result, name), getattr(reference, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert result.checkpoints.keys() == reference.checkpoints.keys()
+    for t, (states, fortunes) in reference.checkpoints.items():
+        assert result.checkpoints[t][0].tobytes() == states.tobytes(), t
+        assert result.checkpoints[t][1].tobytes() == fortunes.tobytes(), t
+    assert result.warnings == reference.warnings
+
+
+def run_both(config, monkeypatch):
+    """``run`` through the step kernel, and through the per-step reference."""
+    result = run(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_walk", support.stepwise_walk)
+        return result, run(config)
+
+
+def kernel_cases(corpus):
+    # (name, graph, replications, max_steps, checkpoints)
+    cases = []
+    for entry in corpus:
+        kind = classify(entry.graph).kind
+        if not entry.graph.nonterminals or kind is GraphKind.UNSUPPORTED:
+            continue
+        if kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
+            cases.append((entry.name, entry.graph, 7, 60, (1, 9, 18, 59, 60)))
+        else:
+            cases.append((entry.name, entry.graph, 20, 10**5, None))
+    cases += [("window:3,1", build_window_game(3, 1), 7, 100, (9, 45, 50, 100)),
+              ("window:12,3", build_window_game(12, 3), 5, 77, (12, 13, 77)),
+              ("window-stop:12", build_stopping_variant(12), 20, 10**5, None),
+              ("window-stop:12 wide", build_stopping_variant(12), 300, 10**5, None),
+              ("ring censored", support.slow_ring(), 5, 50, None),
+              ("ring", support.slow_ring(), 30, 10**4, None)]
+    return cases
+
+
+@pytest.mark.parametrize("budget", [64, None])
+def test_step_kernel_matches_the_per_step_walk(budget, corpus, monkeypatch):
+    # with 64 blocks a span is 64 // live steps: 9 for 7 live replications,
+    # which divides neither horizon; checkpoints fall on and off span edges
+    if budget is not None:
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", budget)
+    for name, g, reps, max_steps, checkpoints in kernel_cases(corpus):
+        config, _ = optimal_config(g, replications=reps, seed=23, max_steps=max_steps,
+                                   checkpoints=checkpoints,
+                                   track_occupancy=checkpoints is not None)
+        result, reference = run_both(config, monkeypatch)
+        assert_same_result(result, reference)
+        if name == "window-stop:12":
+            # 20 replications draw spans of 3; some absorb inside the first
+            assert (result.stopping_times % 3 != 0).any()
+        if name == "ring censored":
+            assert result.censored.any() and not result.censored.all()
+
+
+def test_draws_are_counted_one_id_per_block(monkeypatch):
+    # each Philox call gets one replication id per block it draws; blocks
+    # drawn for replications that absorb inside their span go unread
+    calls = []
+
+    def counted(seed, reps, steps):
+        u_guess, u_choice = step_uniforms(seed, reps, steps)
+        calls.append((len(reps), u_guess.size, u_choice.size))
+        return u_guess, u_choice
+
+    monkeypatch.setattr(simulate, "step_uniforms", counted)
+    config, _ = optimal_config(build_stopping_variant(12), replications=3000, seed=4)
+    result = run(config)
+    assert all(ids == a == b for ids, a, b in calls)
+    assert 1 < len(calls) < int(result.stopping_times.max())
+    assert sum(ids for ids, _, _ in calls) >= int(result.stopping_times.sum())
+
+
+def test_draw_ahead_memory_is_capped_by_the_budget():
+    # one replication over 10^5 steps: a span set by the horizon would hold
+    # 10^5-block arrays (about 8 MB at the peak), the budget's span 8192
+    config, _ = optimal_config(support.slow_ring(), replications=1, max_steps=10**5)
+    tracemalloc.start()
+    try:
+        result = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not result.censored[0]
+    assert peak < 2 * 2**20, peak
 
 
 @pytest.mark.parametrize("counter, key, words", [

@@ -298,11 +298,7 @@ def test_audit_still_fails_the_one_lie_window_of_thirty():
 
 def test_audit_still_fails_a_slowly_absorbing_ring():
     # each ring node moves one or two steps on; only r0 may also exit
-    k = 32
-    labels = [f"r{i}" for i in range(k)] + ["exit"]
-    edges = [(f"r{i}", f"r{(i + d) % k}") for i in range(k) for d in (1, 2)]
-    edges.append(("r0", "exit"))
-    g = build_graph(labels, edges, {"exit": 1})
+    g = support.slow_ring(32)
     nt = list(g.nonterminals)
     transient = dense_propagation(g)[np.ix_(nt, nt)]
     assert np.abs(np.linalg.eigvals(transient)).max() >= 0.96
