@@ -452,7 +452,13 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+        sys.stdout.flush()  # a reader that went away shows here, inside the try
+    except BrokenPipeError:  # ``pathwager ... | head``: the recipe of Python's signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ so her best reply stakes everything on one successor, and no wager grid is
 searched.  Small terminating games are additionally bracketed by depth-limited
 backward induction that is entirely independent of the linear-algebra
 solvers, and the limit theory is audited by raising the propagation
-matrix to a high power directly, by repeated squaring.
+matrix to a high power directly, by repeated squaring of its transient
+block, stopped once that block's power is exactly zero.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .values import (
 
 GAIN_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
+# Memory the power audit may take: 4 N^2 float64 entries fit up to N = 5792.
+AUDIT_BUDGET_BYTES = 1 << 30
 
 
 @dataclass
@@ -201,8 +204,12 @@ def audit_convergence(graph: GameGraph, steps: int = 400) -> Certificate:
 
     Terminating: M^s approaches [[0, (I-A)^{-1} B], [0, I]].  Strongly
     connected: r^{-s} M^s approaches the positive rank-one matrix
-    x y^T / (x . y).  M^s is formed by repeated squaring, in
-    floor(log2 s) + popcount(s) - 1 dense products.
+    x y^T / (x . y).  M^s is formed by repeated squaring of the pair
+    (A, B) in at most floor(log2 s) + popcount(s) - 1 block products, never
+    touching the terminal rows [0, I]; it stops early once A's power is
+    exactly zero, as on trees and every graph with an acyclic transient
+    part.  A graph whose arrays would exceed ``AUDIT_BUDGET_BYTES`` gets a
+    failed ``power_audit_not_run`` check instead.
     """
     return _audit(solve(graph), steps)
 
@@ -211,19 +218,22 @@ def _audit(solution: GameSolution, steps: int) -> Certificate:
     if steps < 0:
         raise ValueError(f"audit steps must be nonnegative, got {steps}")
     graph = solution.graph
-    prop = build_propagation_matrix(graph)
     n = graph.num_nodes
+    needed = 4 * n * n * 8  # at most four N x N float64 arrays are live at once
+    if needed > AUDIT_BUDGET_BYTES:
+        detail = {"bytes_needed": needed, "budget_bytes": AUDIT_BUDGET_BYTES}
+        return Certificate(checks=[CheckResult("power_audit_not_run", False, detail)])
+    prop = build_propagation_matrix(graph)
     if solution.graph_class.is_terminating:
-        nt, t = list(prop.nt), list(prop.t)
-        limit = np.zeros((n, n))
-        for k in t:
-            limit[k, k] = 1.0
-        if nt:
-            block = np.linalg.solve(np.eye(len(nt)) - prop.A, prop.B)
-            limit[np.ix_(nt, t)] = block
-        power = _matrix_power(prop.matrix, steps)
-        power -= limit
-        residual = float(np.abs(power, out=power).max())
+        a, b = prop.A, prop.B
+        del prop  # frees M, so the arrays below stay within four N x N
+        limit = np.linalg.solve(np.eye(len(a)) - a, b)  # (I - A)^{-1} B
+        # the terminal rows of M^s and of the limit are both [0, I]
+        power, reach = _block_power(a, b, steps)
+        reach -= limit
+        # the limit's transient block is zero, so this is |A^s| there
+        upper_left = float(np.abs(power, out=power).max(initial=0.0))
+        residual = max(upper_left, float(np.abs(reach, out=reach).max(initial=0.0)))
         checks = [
             CheckResult(
                 "power_limit_absorbing",
@@ -231,9 +241,7 @@ def _audit(solution: GameSolution, steps: int) -> Certificate:
                 {"steps": steps, "residual": residual},
             )
         ]
-        if nt:
-            # the limit's transient block is zero, so this is |M^s| there
-            upper_left = float(power[np.ix_(nt, nt)].max())
+        if graph.nonterminals:
             checks.append(
                 CheckResult(
                     "transient_block_vanishes",
@@ -248,7 +256,7 @@ def _audit(solution: GameSolution, steps: int) -> Certificate:
     limit = np.outer(x, y)
     limit /= x @ y
     prop.matrix /= spectral.radius
-    power = _matrix_power(prop.matrix, steps)
+    power, _ = _block_power(prop.matrix, np.empty((n, 0)), steps)
     power -= limit
     residual = float(np.abs(power, out=power).max())
     checks = [
@@ -266,22 +274,37 @@ def _audit(solution: GameSolution, steps: int) -> Certificate:
     return Certificate(checks=checks, residual=residual)
 
 
-def _matrix_power(m: np.ndarray, steps: int) -> np.ndarray:
-    """m^steps by repeated squaring (Knuth, TAOCP vol. 2, 4.6.3); overwrites m.
+def _block_power(a: np.ndarray, b: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """[[a, b], [0, I]]^steps as the pair (a^s, (I + a + ... + a^(s-1)) b); overwrites a, b.
 
-    Squares and products go into two reused buffers, so m, the spare
-    buffer and the power are the only N x N arrays held.
+    Pairs multiply as (P1, C1)(P2, C2) = (P1 P2, P1 C2 + C1), so the identity
+    rows are never formed.  The power is taken by repeated squaring (Knuth,
+    TAOCP vol. 2, 4.6.3) into one reused spare pair, so the square, the spare
+    and the power are the only pairs held.  Once a square's P is exactly zero,
+    every later square equals it bit for bit (0 C = 0 and C + 0 = C for finite
+    C), and after one product with it so does the power: the loop stops there.
+    With b of zero columns this is the plain product sequence of a^steps.
     """
-    power, spare = None, np.empty_like(m)
+    power, spare, square = None, (np.empty_like(a), np.empty_like(b)), (a, b)
     while steps:
         steps, bit = divmod(steps, 2)
+        if steps and not square[0].any():
+            steps, bit = 0, 1  # every later square is this one: one product takes them all
         if bit and power is None:
-            power = m.copy()
+            power = (square[0].copy(), square[1].copy())
         elif bit:
-            power, spare = np.matmul(power, m, out=spare), power
+            power, spare = _pair_product(power, square, spare), power
         if steps:
-            m, spare = np.matmul(m, m, out=spare), m
-    return np.eye(len(m)) if power is None else power
+            square, spare = _pair_product(square, square, spare), square
+    return (np.eye(len(a)), np.zeros_like(b)) if power is None else power
+
+
+def _pair_product(x: tuple, y: tuple, out: tuple) -> tuple:
+    """(P1, C1)(P2, C2) = (P1 P2, P1 C2 + C1), written into the pair ``out``."""
+    np.matmul(x[0], y[1], out=out[1])
+    np.add(out[1], x[1], out=out[1])
+    np.matmul(x[0], y[0], out=out[0])
+    return out
 
 
 def certify_graph(
@@ -333,7 +356,8 @@ def certify_graph(
                 CheckResult(
                     "backward_induction_brackets_contain_values",
                     inside,
-                    {"max_width": bounds.width, "depth": bounds.depth},
+                    {"max_width": bounds.width, "depth": bounds.depth,
+                     "converged": bounds.converged},
                 )
             )
     elif solution.graph_class.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:

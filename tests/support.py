@@ -16,14 +16,18 @@ Moore refinement reference the library's Hopcroft minimization, the
 per-node loop references the library's degree-blocked profiles, edge tables
 and deviation sweeps, the two-walk stopping analysis the library's single
 component walk, the per-cell CSV loops the library's row formats, and the
-per-step walk the step kernel's block-at-a-time Philox draws.
+per-step walk the step kernel's block-at-a-time Philox draws, and the
+full-matrix power audit the library's transient-block power.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import os
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +55,8 @@ from pathwager.simulate import (
     _edge_tables,
     step_uniforms,
 )
-from pathwager.values import _component_block
+from pathwager.values import _component_block, build_propagation_matrix
+from pathwager.verify import RESIDUAL_TOL, Certificate, CheckResult, _pair_product
 
 _VALUE_POOL = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0]
 
@@ -715,3 +720,85 @@ def slow_ring(k: int = 32):
     edges = [(f"r{i}", f"r{(i + d) % k}") for i in range(k) for d in (1, 2)]
     edges.append(("r0", "exit"))
     return build_graph(labels, edges, {"exit": 1})
+
+
+# -- full-matrix audit reference ---------------------------------------------
+# The library audits terminating graphs on the transient block (A, B) and
+# stops once A's power is exactly zero.  These are the full N x N power it
+# replaced and the block loop run to the end, kept as references.
+
+
+def matrix_power(m: np.ndarray, steps: int) -> np.ndarray:
+    """m^steps by repeated squaring over the whole matrix; overwrites m."""
+    power, spare = None, np.empty_like(m)
+    while steps:
+        steps, bit = divmod(steps, 2)
+        if bit and power is None:
+            power = m.copy()
+        elif bit:
+            power, spare = np.matmul(power, m, out=spare), power
+        if steps:
+            m, spare = np.matmul(m, m, out=spare), m
+    return np.eye(len(m)) if power is None else power
+
+
+def dense_audit(solution, steps: int = 400) -> Certificate:
+    """``verify._audit`` on the full propagation matrix M^steps."""
+    graph = solution.graph
+    prop = build_propagation_matrix(graph)
+    n = graph.num_nodes
+    if solution.graph_class.is_terminating:
+        nt, t = list(prop.nt), list(prop.t)
+        limit = np.zeros((n, n))
+        limit[t, t] = 1.0
+        if nt:
+            limit[np.ix_(nt, t)] = np.linalg.solve(np.eye(len(nt)) - prop.A, prop.B)
+        power = matrix_power(prop.matrix, steps)
+        power -= limit
+        residual = float(np.abs(power, out=power).max())
+        checks = [CheckResult("power_limit_absorbing", residual <= RESIDUAL_TOL,
+                              {"steps": steps, "residual": residual})]
+        if nt:
+            upper_left = float(power[np.ix_(nt, nt)].max())
+            checks.append(CheckResult("transient_block_vanishes", upper_left <= RESIDUAL_TOL,
+                                      {"max_entry": upper_left}))
+        return Certificate(checks=checks, residual=residual)
+    x, y = solution.spectral.right_vec, solution.spectral.left_vec
+    limit = np.outer(x, y)
+    limit /= x @ y
+    prop.matrix /= solution.spectral.radius
+    power = matrix_power(prop.matrix, steps)
+    power -= limit
+    residual = float(np.abs(power, out=power).max())
+    checks = [
+        CheckResult("scaled_power_limit", residual <= RESIDUAL_TOL,
+                    {"steps": steps, "residual": residual}),
+        CheckResult("limit_strictly_positive", bool(limit.min() > 0.0),
+                    {"min_entry": float(limit.min())}),
+    ]
+    return Certificate(checks=checks, residual=residual)
+
+
+def block_power_to_the_end(a: np.ndarray, b: np.ndarray, steps: int):
+    """``verify._block_power`` without its stop at a vanished square; overwrites a, b."""
+    power, spare, square = None, (np.empty_like(a), np.empty_like(b)), (a, b)
+    while steps:
+        steps, bit = divmod(steps, 2)
+        if bit and power is None:
+            power = (square[0].copy(), square[1].copy())
+        elif bit:
+            power, spare = _pair_product(power, square, spare), power
+        if steps:
+            square, spare = _pair_product(square, square, spare), square
+    return (np.eye(len(a)), np.zeros_like(b)) if power is None else power
+
+
+def bench_workloads():
+    """The benchmark's graph generators (``bench/workloads.py``, stdlib only)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module

@@ -280,6 +280,23 @@ def test_runs_as_a_module_from_the_source_tree(module, fan_path):
     assert abs(doc["values"]["root"] - 8 / 3) < 1e-12
 
 
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, fan_path):
+    # ``pathwager verify --graph g.json | head -5`` with the reader already gone
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    graph = tmp_path / "w.json"
+    assert dispatch(["generate", "--oracle", "window:5,2", "--out", str(graph)]) == 0
+    for argv in (["verify", "--graph", str(graph)], ["solve", "--graph", fan_path]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "pathwager", *argv], env=env,
+                                  stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == 1 and done.stderr == b"", (argv, done.stderr)
+
+
 def test_generate_patterns_file(tmp_path, capsys):
     pat = tmp_path / "patterns.txt"
     pat.write_text("L L\n")

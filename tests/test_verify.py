@@ -1,5 +1,8 @@
 """Verification oracles: certificates, brute-force brackets, audits."""
 
+import json
+import random
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,14 @@ from pathwager import (
     build_profile,
     build_stopping_variant,
     build_window_game,
+    classify,
     exploit_search,
+    parse_graph,
+    serialize_graph,
     solve,
 )
+from pathwager.cli import dispatch
+from pathwager.values import build_propagation_matrix
 import pathwager.verify
 from pathwager.verify import (
     audit_convergence,
@@ -319,6 +327,114 @@ def test_audit_with_zero_steps_compares_the_identity():
     cert = audit_convergence(fan24(), steps=0)
     assert not cert.passed
     assert cert.residual == 1.0
+
+
+def audit_graphs(corpus):
+    """The corpus, the stopping windows, the benchmark's trees and random
+    terminating graphs, the slow ring and one multi-lie window."""
+    bench = support.bench_workloads()
+    rng = random.Random(17)
+    graphs = [(e.name, e.graph) for e in corpus]
+    graphs += [(f"window-stop:{n}", build_stopping_variant(n)) for n in range(5, 61)]
+    graphs += [(f"tree{n}", parse_graph(json.dumps(bench.tree_doc(rng, n)))) for n in (200, 400)]
+    graphs += [(f"term{n}", parse_graph(json.dumps(bench.terminating_doc(rng, n - n // 20, n // 20))))
+               for n in (100, 200, 300)]
+    return graphs + [("slow_ring", support.slow_ring(32)), ("window:12,3", build_window_game(12, 3))]
+
+
+def test_block_audit_matches_the_full_matrix_power(corpus):
+    for name, g in audit_graphs(corpus):
+        sol = solve(g)
+        for steps in (0, 1, 400):
+            cert = pathwager.verify._audit(sol, steps)
+            ref = support.dense_audit(sol, steps)
+            assert [(c.name, c.passed) for c in cert.checks] == \
+                [(c.name, c.passed) for c in ref.checks], (name, steps)
+            if sol.spectral is not None:
+                assert cert.residual == ref.residual, (name, steps)
+                continue
+            assert abs(cert.residual - ref.residual) <= 1e-15, (name, steps)
+            for got, want in zip(cert.checks[1:], ref.checks[1:]):
+                assert abs(got.detail["max_entry"] - want.detail["max_entry"]) <= 1e-15, name
+
+
+def test_exact_stop_is_the_block_loop_run_to_the_end(corpus, monkeypatch):
+    products = []
+
+    def counted(x, y, out):
+        products.append(1)
+        return pair_product(x, y, out)
+
+    pair_product = pathwager.verify._pair_product
+    monkeypatch.setattr(pathwager.verify, "_pair_product", counted)
+    for name, g in audit_graphs(corpus):
+        if not classify(g).is_terminating:
+            continue
+        prop = build_propagation_matrix(g)
+        a, b = prop.A, prop.B
+        for steps in (0, 1, 2, 3, 5, 64, 400, 401, 1023):
+            products.clear()
+            got = pathwager.verify._block_power(a.copy(), b.copy(), steps)
+            full = support.block_power_to_the_end(a.copy(), b.copy(), steps)
+            for x, y in zip(got, full):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), (name, steps)
+            to_the_end = max(steps.bit_length() + bin(steps).count("1") - 2, 0)
+            assert len(products) <= to_the_end, (name, steps)
+            if name.startswith("tree") and steps == 400:
+                assert len(products) < to_the_end, name
+
+
+def test_audit_of_a_graph_without_moves_passes(capsys, tmp_path):
+    g = parse_graph('{"nodes":["t"],"edges":[],"values":{"t":2}}')
+    for steps in (0, 1, 400):
+        cert = audit_convergence(g, steps=steps)
+        assert cert.passed and cert.residual == 0.0
+        assert [c.name for c in cert.checks] == ["power_limit_absorbing"]
+    path = tmp_path / "t.json"
+    path.write_text('{"nodes":["t"],"edges":[],"values":{"t":2}}')
+    assert dispatch(["verify", "--graph", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_audit_over_its_memory_budget_fails_without_building_arrays(monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit built its arrays over the budget")
+
+    assert 4 * 495 ** 2 * 8 <= pathwager.verify.AUDIT_BUDGET_BYTES  # window:12,4 is audited
+    for g in (build_stopping_variant(6), build_window_game(3, 1)):
+        needed = 4 * g.num_nodes ** 2 * 8
+        with monkeypatch.context() as patch:
+            patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", needed)
+            assert pathwager.verify._audit(solve(g), 400).passed
+            patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", needed - 1)
+            patch.setattr(pathwager.verify, "_block_power", refuse)
+            patch.setattr(pathwager.verify, "build_propagation_matrix", refuse)
+            cert = certify_graph(g, solve(g))
+            check = cert.checks[0]
+            assert check.name == "power_audit_not_run" and not check.passed
+            assert check.detail == {"bytes_needed": needed, "budget_bytes": needed - 1}
+            assert not cert.passed
+            path = tmp_path / "g.json"
+            path.write_text(serialize_graph(g))
+            assert dispatch(["verify", "--graph", str(path)]) == 2
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["passed"] is False
+            assert doc["checks"][0] == {"name": "power_audit_not_run", "passed": False,
+                                        "bytes_needed": needed, "budget_bytes": needed - 1}
+
+
+def test_bracket_reports_whether_it_closed(terminating_corpus):
+    # term_13 has 4 nodes and self-loops; its bracket is 7.3e-3 wide after 60 sweeps
+    g = next(e.graph for e in terminating_corpus if e.name == "term_13")
+    assert g.num_nodes <= 8 and any(map(g.is_cyclic, g.components))
+    cert = certify_graph(g, solve(g), depth=60)
+    check = next(c for c in cert.checks
+                 if c.name == "backward_induction_brackets_contain_values")
+    assert check.detail["converged"] is False and check.detail["max_width"] > 1e-3
+    assert check.passed and cert.passed
+    check = next(c for c in certify_graph(fan24(), solve(fan24())).checks
+                 if c.name == "backward_induction_brackets_contain_values")
+    assert check.detail["converged"] is True
 
 
 def reference_graphs(terminating_corpus):
