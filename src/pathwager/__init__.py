@@ -51,13 +51,10 @@ from .strategy import (
     StrategyError,
     StrategyProfile,
     build_profile,
-    chooser_transition_matrix,
-    guess_distribution,
 )
 from .values import (
     ConvergenceError,
     EdgeList,
-    FanSolution,
     GameSolution,
     PropagationMatrix,
     SpectralData,
@@ -65,11 +62,9 @@ from .values import (
     UnsupportedGraphError,
     build_propagation_matrix,
     solve,
-    solve_fan,
     solve_strongly_connected,
     solve_terminating,
     solve_tree,
-    truncated_values,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

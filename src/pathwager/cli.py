@@ -258,17 +258,18 @@ def play_repl(
         say(f"\nnode {graph.labels[node]!r}: moves {names}, fortune {_fmt(fortune)}")
 
         u_guess, u_choice = rng.next_pair()
+        edges = slice(*graph.edge_offsets[node:node + 2])
         try:
             if human_side == "guesser":
                 wager = _ask_wager(ask, say)
                 guess = _ask_move(ask, say, graph, succ, "your guess: ")
                 say(f"wager announced: {_fmt(wager)}")
-                choice = succ[_pick(profile.chooser[node], u_choice)]
+                choice = succ[_pick(profile.chooser[edges], u_choice)]
                 say(f"chooser moves to {graph.labels[choice]!r}")
             else:
-                wager = profile.wagers[node]
+                wager = float(profile.wagers[node])
                 say(f"guesser announces wager {_fmt(wager)} (guess is written down)")
-                guess = succ[_pick(profile.guesser[node], u_guess)]
+                guess = succ[_pick(profile.guesser[edges], u_guess)]
                 choice = _ask_move(ask, say, graph, succ, "your move: ")
                 say(f"guesser's committed guess was {graph.labels[guess]!r}")
         except _QuitSession:

@@ -114,17 +114,33 @@ class GameGraph:
             raise GraphError(f"unknown node label {label!r}") from None
 
     @cached_property
-    def degree_blocks(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-        """Non-terminal nodes by out-degree d, d increasing: (d, nodes, succ); cached.
+    def edge_offsets(self) -> np.ndarray:
+        """Row pointer of the per-edge layout; cached and read-only.
 
-        ``nodes`` is ascending and row k of the m x d matrix ``succ`` is
-        ``successors[nodes[k]]``, so per-node work runs as axis-1 operations.
+        Node i's edges are ``edge_offsets[i]:edge_offsets[i + 1]``, one per
+        successor in ``successors[i]`` order, so edge e of ``edges()`` is e.
+        """
+        offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum([len(succ) for succ in self.successors], out=offsets[1:])
+        offsets.flags.writeable = False
+        return offsets
+
+    @cached_property
+    def degree_blocks(self) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Non-terminal nodes by out-degree d, d increasing: (d, nodes, succ, edges); cached.
+
+        ``nodes`` is ascending; row k of the m x d matrices ``succ`` and
+        ``edges`` holds the successors of ``nodes[k]`` and the indices of its
+        edges (see ``edge_offsets``), so per-node work runs as axis-1
+        operations and per-edge arrays scatter and gather through ``edges``.
         """
         by_degree: dict[int, list[int]] = {}
         for i in self.nonterminals:
             by_degree.setdefault(len(self.successors[i]), []).append(i)
+        offsets = self.edge_offsets
         return tuple(
-            (d, np.array(nodes), np.array([self.successors[i] for i in nodes]))
+            (d, np.array(nodes), np.array([self.successors[i] for i in nodes]),
+             offsets[nodes][:, None] + np.arange(d))
             for d, nodes in sorted(by_degree.items())
         )
 
@@ -449,10 +465,10 @@ def to_dot(g: GameGraph, profile=None) -> str:
     with their wager and edges with the chooser/guesser probabilities.
     """
     if profile is not None:
-        if set(profile.wagers) != set(g.nonterminals) or any(
-            len(profile.chooser[i]) != g.out_degree(i) for i in g.nonterminals
-        ):
+        if not profile.matches(g):
             raise GraphError("strategy profile does not match the graph")
+        chooser, guesser, wagers = (a.tolist() for a in (profile.chooser, profile.guesser,
+                                                         profile.wagers))
     lines = ["digraph game {", "  rankdir=LR;"]
     for i, lab in enumerate(g.labels):
         attrs = []
@@ -462,17 +478,16 @@ def to_dot(g: GameGraph, profile=None) -> str:
         else:
             attrs.append("shape=circle")
             if profile is not None:
-                attrs.append(f'label="{lab}\\nw={profile.wagers[i]:.12g}"')
+                attrs.append(f'label="{lab}\\nw={wagers[i]:.12g}"')
         lines.append(f'  "{lab}" [{", ".join(attrs)}];')
-    for i, succ in enumerate(g.successors):
-        for pos, j in enumerate(succ):
-            parts = []
-            if g.edge_labels and (i, j) in g.edge_labels:
-                parts.append(g.edge_labels[(i, j)])
-            if profile is not None:
-                parts.append(f"p={profile.chooser[i][pos]:.12g}")
-                parts.append(f"g={profile.guesser[i][pos]:.12g}")
-            label = f' [label="{" ".join(parts)}"]' if parts else ""
-            lines.append(f'  "{g.labels[i]}" -> "{g.labels[j]}"{label};')
+    for e, (i, j) in enumerate(g.edges()):
+        parts = []
+        if g.edge_labels and (i, j) in g.edge_labels:
+            parts.append(g.edge_labels[(i, j)])
+        if profile is not None:
+            parts.append(f"p={chooser[e]:.12g}")
+            parts.append(f"g={guesser[e]:.12g}")
+        label = f' [label="{" ".join(parts)}"]' if parts else ""
+        lines.append(f'  "{g.labels[i]}" -> "{g.labels[j]}"{label};')
     lines.append("}")
     return "\n".join(lines)

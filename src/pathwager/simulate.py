@@ -11,17 +11,22 @@ next node, and the fortune is multiplied by
 Reaching a terminal node multiplies the fortune by that node's value and
 ends the game.
 
-``run`` moves all replications together through one step kernel.  Node i's
-successors and both players' CDFs over them fill row i of flat per-edge
-tables; a vectorised bisection in that row picks the guess and the move, the
-index ``searchsorted(cdf, u, side="right")`` capped at degree - 1, as
-``play_step`` takes it.  Replications drop out at a terminal; strongly
-connected games instead run a fixed horizon, discounted every step.  One
-Philox call draws a span of steps for all live replications, at most
-``_DRAW_BUDGET`` blocks, so the span shrinks as the live count grows.
+A profile holds both players' strategies per edge, in the layout of
+``GameGraph.edge_offsets``: row i, ``edge_offsets[i]:edge_offsets[i + 1]``,
+holds node i's successors in order.  ``play_step`` picks within one node's
+row.  ``run`` moves all replications together through one step kernel:
+node i's successors and both players' CDFs over them fill row i of flat
+per-edge tables, and a vectorised bisection in that row picks the guess and
+the move, the index ``searchsorted(cdf, u, side="right")`` capped at
+degree - 1, as ``play_step`` takes it.  Replications drop out at a
+terminal; strongly connected games instead run a fixed horizon, discounted
+every step.  One Philox call draws a span of steps for all live
+replications, at most ``_DRAW_BUDGET`` blocks, so the span shrinks as the
+live count grows.
 
 ``exploit_search`` sweeps best replies over ``GameGraph.degree_blocks``, one
-m x d array pass per out-degree d and sweep.
+m x d array pass per out-degree d and sweep, on the profile's entries
+gathered once through each block's edge indices.
 
 Randomness is counter-based (Philox 4x32, 10 rounds): the pair of uniforms
 consumed at step t of replication k is a pure function of (seed, k, t), so
@@ -119,10 +124,7 @@ class SimulationConfig:
             raise ValueError("start node must be non-terminal")
         if self.discount is not None and not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must lie in (0, 1]")
-        if set(self.profile.wagers) != set(self.graph.nonterminals) or any(
-            len(self.profile.chooser[i]) != self.graph.out_degree(i)
-            for i in self.graph.nonterminals
-        ):
+        if not self.profile.matches(self.graph):
             raise ValueError("strategy profile does not match the graph")
 
 
@@ -200,9 +202,10 @@ def play_step(
     if not succ:
         raise ValueError("cannot play from a terminal node")
     u_guess, u_choice = rng.next_pair()
-    guess = succ[_pick(profile.guesser[node], u_guess)]
-    choice = succ[_pick(profile.chooser[node], u_choice)]
-    win, lose = _multipliers(len(succ), profile.wagers[node])
+    edges = slice(*graph.edge_offsets[node:node + 2])
+    guess = succ[_pick(profile.guesser[edges], u_guess)]
+    choice = succ[_pick(profile.chooser[edges], u_choice)]
+    win, lose = _multipliers(len(succ), float(profile.wagers[node]))
     fortune *= win if guess == choice else lose
     if graph.is_terminal(choice):
         fortune *= graph.values[choice]
@@ -241,11 +244,6 @@ def _best_reply(p: np.ndarray, cont: np.ndarray):
     win, _ = _multipliers(cont.shape[-1], 1.0)
     stake = p * cont
     return stake.argmax(axis=-1), win * stake.max(axis=-1)
-
-
-def _stack(table: dict, nodes: np.ndarray) -> np.ndarray:
-    """A profile table's entries for ``nodes``, one row (or wager) per node."""
-    return np.array([table[i] for i in nodes.tolist()])
 
 
 def run(config: SimulationConfig) -> SimulationResult:
@@ -343,26 +341,24 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
 
 
 def _edge_tables(graph: GameGraph, profile: StrategyProfile):
-    """Flat per-edge tables in node order, and per-node payoffs.
+    """Flat per-edge tables in the profile's layout, and per-node payoffs.
 
-    Row i of the edge tables is ``offsets[i]:offsets[i + 1]``: the successors
-    of node i and the guesser's and chooser's CDFs over them, each the
-    ``np.cumsum`` of the row that ``_pick`` takes, filled one degree block
-    at a time.  ``win``/``lose`` are the node's multipliers and ``value`` the
-    terminal values (0 elsewhere).
+    Row i of the edge tables is ``offsets[i]:offsets[i + 1]``
+    (``graph.edge_offsets``): the successors of node i and the guesser's and
+    chooser's CDFs over them, each the ``np.cumsum`` of the row that
+    ``_pick`` takes, filled one degree block at a time.  ``win``/``lose``
+    are the node's multipliers and ``value`` the terminal values (0
+    elsewhere).
     """
-    n = graph.num_nodes
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(succ) for succ in graph.successors], out=offsets[1:])
+    n, offsets = graph.num_nodes, graph.edge_offsets
     edge_count = offsets[-1]
     dst, g_cdf, c_cdf = np.empty(edge_count, np.int64), np.empty(edge_count), np.empty(edge_count)
     win, lose, value = np.ones(n), np.ones(n), np.zeros(n)
-    for d, nodes, succ in graph.degree_blocks:
-        edges = offsets[nodes][:, None] + np.arange(d)
+    for d, nodes, succ, edges in graph.degree_blocks:
         dst[edges] = succ
-        g_cdf[edges] = np.cumsum(_stack(profile.guesser, nodes), axis=1)
-        c_cdf[edges] = np.cumsum(_stack(profile.chooser, nodes), axis=1)
-        win[nodes], lose[nodes] = _multipliers(d, _stack(profile.wagers, nodes))
+        g_cdf[edges] = np.cumsum(profile.guesser[edges], axis=1)
+        c_cdf[edges] = np.cumsum(profile.chooser[edges], axis=1)
+        win[nodes], lose[nodes] = _multipliers(d, profile.wagers[nodes])
     for k in graph.terminals:
         value[k] = graph.values[k]
     return offsets, dst, g_cdf, c_cdf, win, lose, value
@@ -435,10 +431,10 @@ def exploit_search(
     if profile is None:
         profile = build_profile(solution, graph, beta=beta)
     guesser_held = fixed_side == "guesser"
+    mix = profile.guesser if guesser_held else profile.chooser
     blocks = [
-        (nodes, succ, _stack(profile.guesser if guesser_held else profile.chooser, nodes),
-         _stack(profile.wagers, nodes)[:, None] if guesser_held else None)
-        for _, nodes, succ in graph.degree_blocks
+        (nodes, succ, mix[edges], profile.wagers[nodes][:, None] if guesser_held else None)
+        for _, nodes, succ, edges in graph.degree_blocks
     ]
     moves = [None] * len(blocks)
     values = solution.values.copy()

@@ -11,8 +11,12 @@ parameter beta in [0, 1]:
 beta = 0 is the maximum-risk strategy (bet everything, guess like the
 chooser); beta = 1 is the minimum-risk strategy whose wager equals the
 critical wager 1 - H/v_max and which never guesses a least-likely move.
-``build_profile`` computes them per ``GameGraph.degree_blocks`` entry, one
-m x d array pass per out-degree d, bit for bit as node by node.
+A profile holds both players' strategies as flat per-edge arrays, in the
+layout of ``GameGraph.edge_offsets`` (node i's edges are
+``edge_offsets[i]:edge_offsets[i + 1]``, its successors in order), and the
+wagers as one per-node array.  ``build_profile`` computes them per
+``GameGraph.degree_blocks`` entry, one m x d array pass per out-degree d,
+and scatters each block into the arrays through the block's edge indices.
 """
 
 from __future__ import annotations
@@ -34,26 +38,35 @@ class StrategyError(ValueError):
 
 @dataclass
 class StrategyProfile:
-    """Per-node strategies for both players.
+    """Strategies of both players on one graph, per edge.
 
-    ``chooser[i]`` and ``guesser[i]`` are probability vectors aligned with
-    ``graph.successors[i]``; ``wagers[i]`` is the fraction of the guesser's
-    fortune wagered at node i.  Only non-terminal nodes carry entries.
+    ``chooser[e]`` and ``guesser[e]`` are the probabilities that the chooser
+    moves along edge e and that the guesser guesses it, with edges laid out
+    by ``graph.edge_offsets``; ``wagers[i]`` is the fraction of the guesser's
+    fortune wagered at node i (0 at terminal nodes).
     """
 
     beta: float
-    chooser: dict[int, np.ndarray]
-    guesser: dict[int, np.ndarray]
-    wagers: dict[int, float]
+    chooser: np.ndarray
+    guesser: np.ndarray
+    wagers: np.ndarray
+
+    def matches(self, graph: GameGraph) -> bool:
+        """Whether the arrays have the graph's edge and node counts."""
+        edges, nodes = int(graph.edge_offsets[-1]), graph.num_nodes
+        return len(self.chooser) == len(self.guesser) == edges and len(self.wagers) == nodes
 
     def to_dict(self, graph: GameGraph) -> dict:
+        offsets = graph.edge_offsets.tolist()
+        chooser, guesser, wagers = self.chooser.tolist(), self.guesser.tolist(), self.wagers.tolist()
         nodes = {}
         for i in graph.nonterminals:
             succ = [graph.labels[j] for j in graph.successors[i]]
+            edges = slice(offsets[i], offsets[i + 1])
             nodes[graph.labels[i]] = {
-                "wager": self.wagers[i],
-                "chooser": dict(zip(succ, self.chooser[i].tolist())),
-                "guesser": dict(zip(succ, self.guesser[i].tolist())),
+                "wager": wagers[i],
+                "chooser": dict(zip(succ, chooser[edges])),
+                "guesser": dict(zip(succ, guesser[edges])),
             }
         return {"beta": self.beta, "nodes": nodes}
 
@@ -62,80 +75,45 @@ def build_profile(solution: GameSolution, graph: GameGraph, beta: float = 1.0) -
     """Limiting strategy profile for a solved graph at risk parameter beta.
 
     Nodes of one out-degree d are handled together, as the rows of m x d
-    arrays (``graph.degree_blocks``); each node's entries are views of its
-    row.  A guess row out of range raises at the lowest such node.
+    arrays (``graph.degree_blocks``) that scatter into the per-edge arrays.
+    A guess row out of range raises at the lowest such node.
     """
     if not 0.0 <= beta <= 1.0:
         raise StrategyError(f"beta must lie in [0, 1], got {beta}")
     if solution.graph != graph:
         raise StrategyError("solution does not belong to this graph")
     u = solution.reciprocals
-    chooser, guesser, wagers = (dict.fromkeys(graph.nonterminals) for _ in range(3))
+    edge_count = graph.edge_offsets[-1]
+    chooser, guesser, wagers = np.ones(edge_count), np.ones(edge_count), np.zeros(graph.num_nodes)
     errors: list[tuple[int, str]] = []
-    for d, nodes, succ in graph.degree_blocks:
-        if d == 1:
-            p, g, w = np.ones((len(nodes), 1)), np.ones((len(nodes), 1)), np.ones(len(nodes))
-        else:
-            weights = u[succ]
-            p = weights / weights.sum(axis=1, keepdims=True)
-            pmin = p.min(axis=1)
-            w = 1.0 - d * beta * pmin
-            # numerically zero wager: any guess is payoff-irrelevant, pick
-            # uniform (beta = 1 with a uniform chooser row lands here)
-            live = w > _WAGER_ZERO_TOL
-            w[~live] = 0.0
-            g = np.full(p.shape, 1.0 / d)
-            # the entries are >= 0 and sum to w in exact arithmetic; dividing
-            # by their own sum stays in range when w is tiny and inexact
-            raw = p[live] - (beta * pmin[live])[:, None]
-            raw /= raw.sum(axis=1, keepdims=True)
-            bad = _out_of_range(raw)
-            if bad.any():
-                k = int(bad.argmax())
-                i = int(nodes[live][k])
-                errors.append((i, f"node {graph.labels[i]!r}: {raw[k]}"))
-            g[live] = _clip_rows(raw)
-        nodes = nodes.tolist()
-        chooser.update(zip(nodes, p))
-        guesser.update(zip(nodes, g))
-        wagers.update(zip(nodes, w.tolist()))
+    for d, nodes, succ, edges in graph.degree_blocks:
+        if d == 1:  # a forced move: certain choice and guess, everything wagered
+            wagers[nodes] = 1.0
+            continue
+        weights = u[succ]
+        p = weights / weights.sum(axis=1, keepdims=True)
+        pmin = p.min(axis=1)
+        w = 1.0 - d * beta * pmin
+        # numerically zero wager: any guess is payoff-irrelevant, pick
+        # uniform (beta = 1 with a uniform chooser row lands here)
+        live = w > _WAGER_ZERO_TOL
+        w[~live] = 0.0
+        g = np.full(p.shape, 1.0 / d)
+        # the entries are >= 0 and sum to w in exact arithmetic; dividing
+        # by their own sum stays in range when w is tiny and inexact
+        raw = p[live] - (beta * pmin[live])[:, None]
+        raw /= raw.sum(axis=1, keepdims=True)
+        bad = (raw.min(axis=1) < -_PROB_TOL) | (raw.max(axis=1) > 1.0 + _PROB_TOL)
+        if bad.any():
+            k = int(bad.argmax())
+            i = int(nodes[live][k])
+            errors.append((i, f"node {graph.labels[i]!r}: {raw[k]}"))
+        clipped = np.clip(raw, 0.0, 1.0)
+        g[live] = clipped / clipped.sum(axis=1, keepdims=True)
+        chooser[edges], guesser[edges], wagers[nodes] = p, g, w
     if errors:
         raise StrategyError(f"guess probabilities out of range at {min(errors)[1]}")
     return StrategyProfile(beta=float(beta), chooser=chooser, guesser=guesser, wagers=wagers)
-
-
-def _out_of_range(g: np.ndarray) -> np.ndarray:
-    """Whether each row (last axis) of guess probabilities leaves [0, 1] by more than rounding."""
-    return (g.min(axis=-1) < -_PROB_TOL) | (g.max(axis=-1) > 1.0 + _PROB_TOL)
-
-
-def _clip_rows(g: np.ndarray) -> np.ndarray:
-    g = np.clip(g, 0.0, 1.0)
-    return g / g.sum(axis=-1, keepdims=True)
-
-
-def guess_distribution(profile: StrategyProfile, node: int) -> np.ndarray:
-    """Guesser's probability vector at a node (clamped to the simplex)."""
-    if node not in profile.guesser:
-        raise StrategyError(f"node {node} is terminal or unknown to the profile")
-    g = profile.guesser[node]
-    if _out_of_range(g):
-        raise StrategyError(f"guess probabilities out of range at node {node}: {g}")
-    return _clip_rows(g)
-
-
-def chooser_transition_matrix(solution: GameSolution, graph: GameGraph) -> np.ndarray:
-    """Markov transition matrix of the players' position under optimal play.
-
-    P = V M V^{-1} with V = diag(values); terminal nodes become absorbing
-    (P_kk = 1).  On strongly connected graphs the similarity is scaled by
-    1/r so P is row-stochastic.
-    """
-    if solution.graph != graph:
-        raise StrategyError("solution does not belong to this graph")
-    p = np.zeros((graph.num_nodes, graph.num_nodes))
-    p[solution.edges.src, solution.edges.dst] = _edge_probabilities(solution)
-    return p
 
 
 def _edge_probabilities(solution: GameSolution) -> np.ndarray:

@@ -9,7 +9,8 @@ reciprocal values u_i = 1/v_i, which propagate linearly:
 
 Each solve holds the rule once, as an edge list.  Terminating graphs pin u
 at the terminals and back-substitute over the strongly connected components,
-sinks first, solving densely only on cyclic ones; the same walk solves
+sinks first, solving densely only on cyclic ones (and refusing one whose
+dense solve would pass ``DENSE_BUDGET_BYTES``); the same walk solves
 (I - A) Z = R for a block of right-hand sides.  Strongly connected aperiodic
 graphs have no terminals and the reciprocal values are the Perron eigenvector
 of the propagation operator, whose maximal eigenvalue is the discount factor.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +37,9 @@ _STAGNATION_WINDOW = 200   # products; accept the best iterate if the residual s
 _POWER_BLOCK = 16          # products between convergence tests
 _MAX_POWER_ITERATIONS = 10**6
 _MAX_NEWTON_STEPS = 100
+# Memory a dense C x C solve may take (four float64 arrays: C <= 5792); the
+# audit in ``verify`` holds its N x N arrays to the same budget.
+DENSE_BUDGET_BYTES = 1 << 30
 
 
 class UnsupportedGraphError(ValueError):
@@ -44,11 +48,6 @@ class UnsupportedGraphError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative Perron solve failed to converge within its budget."""
-
-
-class FanSolution(NamedTuple):
-    root_value: object          # float, or Fraction in exact mode
-    chooser_probs: tuple
 
 
 @dataclass(frozen=True)
@@ -162,29 +161,6 @@ class TruncationSeries:
     residuals: np.ndarray
 
 
-def solve_fan(leaf_values: Sequence, exact: bool = False) -> FanSolution:
-    """Value and optimal chooser mix for a one-level game.
-
-    With a single leaf the root is worth twice the leaf (the guesser doubles
-    a sure bet); with n >= 2 leaves the root value is the harmonic mean
-    n / sum(1/v_k) and the chooser picks leaf j with probability
-    (1/v_j) / sum(1/v_k).
-    """
-    if len(leaf_values) == 0:
-        raise ValueError("a fan needs at least one leaf value")
-    if exact:
-        vals = [Fraction(v) for v in leaf_values]
-    else:
-        vals = [float(v) for v in leaf_values]
-    if any(v <= 0 for v in vals):
-        raise ValueError("leaf values must be strictly positive")
-    if len(vals) == 1:
-        return FanSolution(2 * vals[0], (Fraction(1) if exact else 1.0,))
-    recips = [1 / v for v in vals]
-    total = sum(recips)
-    return FanSolution(len(vals) / total, tuple(r / total for r in recips))
-
-
 def build_propagation_matrix(graph: GameGraph) -> PropagationMatrix:
     """Dense propagation matrix of a supported graph (terminal self-loops added here)."""
     cls = classify(graph)
@@ -220,10 +196,7 @@ def solve_terminating(graph: GameGraph, exact: bool = False) -> GameSolution:
 
 def _solve_values(graph: GameGraph, cls: GraphClass, exact: bool) -> GameSolution:
     if exact:
-        if graph.exact_values is None:
-            raise UnsupportedGraphError("exact mode requires exact (rational) terminal values")
-        if any(map(graph.is_cyclic, graph.components)):
-            raise UnsupportedGraphError("exact mode requires an acyclic graph")
+        _check_exact(graph)
     terminal = graph.exact_values if exact else graph.values
     u = [1 / terminal[i] if i in terminal else 0 for i in range(graph.num_nodes)]
     _solve_by_components(graph, u)
@@ -238,6 +211,14 @@ def _solve_values(graph: GameGraph, cls: GraphClass, exact: bool) -> GameSolutio
     if np.any(recips <= 0):
         raise ConvergenceError("computed reciprocal values are not strictly positive")
     return GameSolution(graph, cls, 1.0 / recips, recips, edges)
+
+
+def _check_exact(graph: GameGraph) -> None:
+    """Refuse exact mode unless no component is cyclic and every terminal value is exact."""
+    if any(map(graph.is_cyclic, graph.components)):
+        raise UnsupportedGraphError("exact mode requires an acyclic graph")
+    if graph.exact_values is None:
+        raise UnsupportedGraphError("exact mode requires exact (rational) terminal values")
 
 
 def _solve_by_components(graph: GameGraph, z: list) -> None:
@@ -261,7 +242,18 @@ def _solve_by_components(graph: GameGraph, z: list) -> None:
 
 
 def _component_block(graph: GameGraph, comp: Sequence[int], z, inflow: np.ndarray) -> np.ndarray:
-    """Dense block A_cc of a component; adds A_c,out z_out to ``inflow``, row by row."""
+    """Dense block A_cc of a component; adds A_c,out z_out to ``inflow``, row by row.
+
+    A component whose dense solve would pass ``DENSE_BUDGET_BYTES`` (the
+    block, I, I - A_cc and the solver's copy) is refused before anything is
+    allocated.
+    """
+    needed = 4 * len(comp) ** 2 * 8
+    if needed > DENSE_BUDGET_BYTES:
+        raise UnsupportedGraphError(
+            f"a cyclic component of {len(comp)} nodes needs {needed} bytes for its dense solve, "
+            f"over the budget of {DENSE_BUDGET_BYTES} bytes"
+        )
     pos = {i: k for k, i in enumerate(comp)}
     block = np.zeros((len(comp), len(comp)))
     for k, i in enumerate(comp):
@@ -446,22 +438,18 @@ def solve(graph: GameGraph, exact: bool = False) -> GameSolution:
         return solve_terminating(graph, exact=exact)
     if cls.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
         if exact:
-            raise UnsupportedGraphError("exact mode is supported for acyclic graphs only")
+            _check_exact(graph)  # a strongly connected graph is cyclic: this raises
         return solve_strongly_connected(graph)
     raise UnsupportedGraphError(cls.reason)
 
 
-def truncated_values(graph: GameGraph, steps: int) -> TruncationSeries:
+def _truncation_series(solution: GameSolution, steps: int) -> TruncationSeries:
     """Reciprocal values of the s-step games for s = 0..steps.
 
     Terminating graphs iterate u_{s+1} = M u_s from the leaf vector (ones on
     non-terminal nodes, pre-assigned reciprocals on terminals); strongly
     connected graphs iterate the discount-scaled form (1/r) M from all-ones.
     """
-    return _truncation_series(solve(graph), steps)
-
-
-def _truncation_series(solution: GameSolution, steps: int) -> TruncationSeries:
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     graph = solution.graph

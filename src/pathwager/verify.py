@@ -24,6 +24,7 @@ from .graph import GameGraph, GraphKind, classify
 from .simulate import _best_reply, _move_payoffs, exploit_search
 from .strategy import StrategyProfile, build_profile
 from .values import (
+    DENSE_BUDGET_BYTES as AUDIT_BUDGET_BYTES,
     GameSolution,
     UnsupportedGraphError,
     build_propagation_matrix,
@@ -32,8 +33,6 @@ from .values import (
 
 GAIN_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
-# Memory the power audit may take: 4 N^2 float64 entries fit up to N = 5792.
-AUDIT_BUDGET_BYTES = 1 << 30
 
 
 @dataclass
@@ -79,17 +78,17 @@ def certify_fan(values: Sequence[float], profile: StrategyProfile) -> Certificat
     (a) every chooser move earns exactly the root value against the guesser
     profile; (b) the guesser's exact best reply to the chooser mix, all in
     on the largest p_j v_j, does not beat the root value; (c) the per-move
-    expectations divided by the leaf values sum to n.
+    expectations divided by the leaf values sum to n.  ``profile`` belongs to
+    the fan whose root is node 0.
     """
     vals = np.asarray(values, dtype=float)
     n = len(vals)
     if n < 2:
         raise ValueError("fan certificates need at least two leaves")
-    if 0 not in profile.chooser or len(profile.chooser[0]) != n:
+    # the root, node 0, owns every edge; the leaves wager nothing
+    if len(profile.chooser) != n or profile.wagers[1:].any():
         raise ValueError("profile does not match the fan")
-    p = profile.chooser[0]
-    g = profile.guesser[0]
-    w = profile.wagers[0]
+    p, g, w = profile.chooser, profile.guesser, float(profile.wagers[0])
     root_value = n / (1.0 / vals).sum()
 
     # (a) chooser side: E[F | move to j] = v_j (w (n g_j - 1) + 1)
@@ -177,7 +176,7 @@ def brute_force_value(graph: GameGraph, depth_limit: int = 60) -> BruteForceBoun
     for _ in range(depth_limit):
         new_lower = lower.copy()
         new_upper = upper.copy()
-        for d, nodes, succ in graph.degree_blocks:
+        for d, nodes, succ, _ in graph.degree_blocks:
             high, low = upper[succ], lower[succ]
             new_upper[nodes] = 2.0 * high[:, 0] if d == 1 else d / (1.0 / high).sum(axis=1)
             inv = 1.0 / low

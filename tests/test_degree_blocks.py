@@ -1,8 +1,14 @@
 """Degree-blocked profiles, edge tables, deviation sweeps and brackets, bit
-for bit against the per-node loops they replaced (``support.loop_*``)."""
+for bit against the per-node loops they replaced (``support.loop_*``), and
+per-edge profiles rendered and played byte for byte as the per-node rows
+they replaced (``support.rows_*``)."""
 
+import ast
 import functools
+import io
+import itertools
 import random
+import re
 import types
 import warnings
 
@@ -17,10 +23,14 @@ from pathwager import (
     build_profile,
     build_stopping_variant,
     exploit_search,
+    serialize_graph,
     solve,
+    to_dot,
 )
+from pathwager.cli import dispatch, play_repl
 from pathwager.simulate import _edge_tables
 from pathwager.verify import brute_force_value
+from pathwager.writer import _dumps
 
 BETAS = (0.0, 0.25, 0.5, 1.0)
 
@@ -69,13 +79,9 @@ def _same_arrays(a, b) -> bool:
 
 
 def _same_profile(got: StrategyProfile, want: StrategyProfile) -> bool:
-    return (
-        got.beta == want.beta
-        and list(got.chooser) == list(want.chooser) == list(got.guesser) == list(got.wagers)
-        and all(_same_arrays(got.chooser[i], want.chooser[i]) for i in want.chooser)
-        and all(_same_arrays(got.guesser[i], want.guesser[i]) for i in want.guesser)
-        and all(type(got.wagers[i]) is float and got.wagers[i] == want.wagers[i]
-                for i in want.wagers)
+    return got.beta == want.beta and all(
+        _same_arrays(getattr(got, name), getattr(want, name))
+        for name in ("chooser", "guesser", "wagers")
     )
 
 
@@ -90,16 +96,28 @@ def _same_report(got, want) -> bool:
 
 def test_degree_blocks_partition_the_nonterminals():
     for name, g, _ in _games():
-        degrees = [d for d, _, _ in g.degree_blocks]
+        degrees = [d for d, _, _, _ in g.degree_blocks]
         assert degrees == sorted(set(degrees)), name
-        seen = []
-        for d, nodes, succ in g.degree_blocks:
-            assert nodes.dtype == succ.dtype == np.int64, name
-            assert succ.shape == (len(nodes), d) and list(nodes) == sorted(nodes), name
+        dst = np.array([j for _, j in g.edges()], dtype=np.int64)
+        assert g.edge_offsets.tolist() == [0, *itertools.accumulate(map(len, g.successors))]
+        seen, seen_edges = [], []
+        for d, nodes, succ, edges in g.degree_blocks:
+            assert nodes.dtype == succ.dtype == edges.dtype == np.int64, name
+            assert succ.shape == edges.shape == (len(nodes), d), name
+            assert list(nodes) == sorted(nodes), name
             assert [tuple(row) for row in succ.tolist()] == [g.successors[i] for i in nodes]
+            assert np.array_equal(dst[edges], succ), name
             seen += nodes.tolist()
+            seen_edges += edges.ravel().tolist()
         assert sorted(seen) == list(g.nonterminals), name
-    assert [d for d, _, _ in _mixed_dag(150, 3).degree_blocks] == [1, 2, 3, 4, 5, 6, 7]
+        assert sorted(seen_edges) == list(range(len(dst))), name
+    assert [d for d, *_ in _mixed_dag(150, 3).degree_blocks] == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_edge_offsets_are_read_only():
+    g = _mixed_dag(12, 1)
+    with pytest.raises(ValueError):
+        g.edge_offsets[1] = 0
 
 
 def test_blocked_profiles_match_the_loops():
@@ -147,13 +165,15 @@ def test_blocked_brackets_match_the_loops():
         assert bounds.converged == converged, name
 
 
-def _off_equilibrium(profile: StrategyProfile, t: float) -> StrategyProfile:
+def _off_equilibrium(g, profile: StrategyProfile, t: float) -> StrategyProfile:
     """The chooser leans toward her first successor and the guesser toward the
     uniform guess, each by t; the wagers shrink by the factor 1 - t."""
-    chooser = {i: (1 - t) * p + t * np.eye(len(p))[0] for i, p in profile.chooser.items()}
-    guesser = {i: (1 - t) * g + t / len(g) for i, g in profile.guesser.items()}
-    wagers = {i: (1 - t) * w for i, w in profile.wagers.items()}
-    return StrategyProfile(profile.beta, chooser, guesser, wagers)
+    degree = np.diff(g.edge_offsets)
+    first = np.zeros(len(profile.chooser))
+    first[g.edge_offsets[:-1][degree > 0]] = 1.0
+    chooser = (1 - t) * profile.chooser + t * first
+    guesser = (1 - t) * profile.guesser + t / np.repeat(degree, degree)
+    return StrategyProfile(profile.beta, chooser, guesser, (1 - t) * profile.wagers)
 
 
 def test_off_equilibrium_sweeps_match_the_loops():
@@ -163,7 +183,7 @@ def test_off_equilibrium_sweeps_match_the_loops():
         if name not in names:
             continue
         for t in (0.01, 0.5):
-            profile = _off_equilibrium(build_profile(sol, g, beta=0.5), t)
+            profile = _off_equilibrium(g, build_profile(sol, g, beta=0.5), t)
             for side in ("guesser", "chooser"):
                 want, count = support.loop_exploit_search(g, sol, side, profile)
                 got = exploit_search(g, sol, fixed_side=side, profile=profile)
@@ -194,7 +214,7 @@ def test_zero_wager_rows_raise_nothing_and_guess_uniformly():
         profile = build_profile(sol, g, beta=1.0)
         tables = _edge_tables(g, profile)
     assert profile.wagers[x] == 0.0 and profile.wagers[y] > 0.0
-    assert profile.guesser[x].tolist() == [1 / 3] * 3
+    assert profile.guesser[g.edge_offsets[x]:g.edge_offsets[x + 1]].tolist() == [1 / 3] * 3
     assert _same_profile(profile, support.loop_build_profile(sol, g, 1.0))
     assert all(_same_arrays(a, b) for a, b in zip(tables, support.loop_edge_tables(g, profile)))
 
@@ -214,3 +234,55 @@ def test_clamp_error_names_the_lowest_offending_node():
             build_profile(fake, g, beta=0.5)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"guess probabilities out of range at node {node!r}: [")
+
+
+class _FirstMoveHuman:
+    """``play_repl``'s input: wager 1/2, and the first of the moves it lists
+    last that does not read as a request to quit (``support.human_move``)."""
+
+    def __init__(self, out: io.StringIO):
+        self.out = out
+
+    def readline(self) -> str:
+        text = self.out.getvalue()
+        if text.endswith("your wager fraction [0,1]: "):
+            return "0.5\n"
+        moves = ast.literal_eval(re.findall(r": moves (\[.*\]), fortune", text)[-1])
+        return support.human_move(moves) + "\n"
+
+
+def test_per_edge_profiles_render_and_play_as_the_rows():
+    for name, g, sol in _games():
+        for beta in BETAS:
+            try:
+                rows = support.loop_profile_rows(sol, g, beta)
+            except StrategyError:  # the same refusal as build_profile's, pinned above
+                continue
+            profile = build_profile(sol, g, beta=beta)
+            assert _dumps(profile.to_dict(g)) == _dumps(support.rows_to_dict(g, rows)), name
+            assert to_dot(g, profile) == support.rows_to_dot(g, rows), (name, beta)
+            if not g.nonterminals or beta not in (0.5, 1.0):  # play solves on each call
+                continue
+            for side in ("chooser", "guesser"):
+                out = io.StringIO()
+                got = play_repl(g, side, beta=beta, seed=7, in_stream=_FirstMoveHuman(out),
+                                out_stream=out, max_rounds=12)
+                want = support.rows_play(g, rows, side, 7, 12)
+                assert _dumps(got) == _dumps(want), (name, beta, side)
+
+
+def test_strategy_and_export_dot_print_the_rows(tmp_path, capsys):
+    for name, g, sol in _games()[::4]:
+        path = tmp_path / "g.json"
+        path.write_text(serialize_graph(g))
+        for beta in (0.0, 1.0):
+            try:
+                rows = support.loop_profile_rows(sol, g, beta)
+            except StrategyError:
+                continue
+            # the report is the rows' document with the manifest appended
+            assert dispatch(["strategy", "--graph", str(path), "--beta", str(beta)]) == 0
+            report = _dumps(support.rows_to_dict(g, rows))
+            assert capsys.readouterr().out.startswith(report[:-2] + ',\n  "manifest": {'), name
+            assert dispatch(["export-dot", "--graph", str(path), "--beta", str(beta)]) == 0
+            assert capsys.readouterr().out == support.rows_to_dot(g, rows) + "\n", name

@@ -9,6 +9,7 @@ import pytest
 import scipy.optimize
 
 import support
+from support import chooser_transition_matrix
 from pathwager import (
     GraphError,
     GraphKind,
@@ -16,7 +17,6 @@ from pathwager import (
     build_profile,
     build_stopping_variant,
     build_window_game,
-    chooser_transition_matrix,
     classify,
     gn1_reference,
     invariant_measure,
@@ -223,10 +223,11 @@ def test_solver_reproduces_reference_family():
         ref = gn1_reference(n)
         assert abs(sol.spectral.radius - ref.radius) < 1e-10, n
         profile = build_profile(sol, g, beta=1.0)
-        assert abs(profile.chooser[0][0] - ref.truth_prob) < 1e-10, n
-        assert abs(profile.chooser[0][1] - ref.lie_prob) < 1e-10, n
+        start = slice(g.edge_offsets[0], g.edge_offsets[1])  # node 0's edges
+        assert abs(profile.chooser[start][0] - ref.truth_prob) < 1e-10, n
+        assert abs(profile.chooser[start][1] - ref.lie_prob) < 1e-10, n
         assert abs(profile.wagers[0] - ref.wager) < 1e-10, n
-        assert np.allclose(profile.guesser[0], [1.0, 0.0], atol=1e-10)
+        assert np.allclose(profile.guesser[start], [1.0, 0.0], atol=1e-10)
         mu = invariant_measure(sol)
         assert np.abs(mu - ref.invariant).max() < 1e-10, n
 

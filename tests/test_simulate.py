@@ -149,9 +149,9 @@ def test_run_matches_scalar_play_past_the_cdf_end():
     g = build_graph(["r", "x", "a", "b", "c", "d", "e"],
                     [("r", "x"), ("r", "a"), ("r", "b"), ("r", "c"), ("x", "d"), ("x", "e")],
                     {lab: 2 for lab in "abcde"})
-    rows = {0: np.full(4, 0.125), 1: np.full(2, 0.25)}
+    rows = np.concatenate([np.full(4, 0.125), np.full(2, 0.25)])  # r's edges, then x's
     profile = StrategyProfile(beta=1.0, chooser=rows, guesser=rows,
-                              wagers={0: 0.5, 1: 0.5})
+                              wagers=np.array([0.5, 0.5, 0, 0, 0, 0, 0]))
     config = SimulationConfig(graph=g, profile=profile, start=0, replications=400, seed=5)
     result = run(config)
     assert (result.terminal_nodes == g.index_of("e")).any()
@@ -404,9 +404,9 @@ def test_censoring_warns_and_excludes():
     # hand-crafted chooser that never exits the loop
     sticky = StrategyProfile(
         beta=1.0,
-        chooser={0: np.array([1.0, 0.0])},
-        guesser={0: np.array([1.0, 0.0])},
-        wagers={0: 0.0},
+        chooser=np.array([1.0, 0.0]),
+        guesser=np.array([1.0, 0.0]),
+        wagers=np.array([0.0, 0.0]),
     )
     config = SimulationConfig(graph=g, profile=sticky, start=0, replications=50,
                               max_steps=64, seed=1)
@@ -446,8 +446,8 @@ def test_exploit_search_detects_perturbed_chooser():
     g = fan([2, 4])
     sol = solve(g)
     profile = build_profile(sol, g, beta=1.0)
-    skew = profile.chooser[0] + np.array([0.01, -0.01])
-    bad = StrategyProfile(beta=1.0, chooser={0: skew / skew.sum()},
+    skew = profile.chooser + np.array([0.01, -0.01])
+    bad = StrategyProfile(beta=1.0, chooser=skew / skew.sum(),
                           guesser=profile.guesser, wagers=profile.wagers)
     report = exploit_search(g, sol, fixed_side="chooser", profile=bad)
     assert report.gain > 1e-4

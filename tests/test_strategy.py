@@ -1,22 +1,27 @@
-"""Strategy profiles: the beta family, wagers, and the transition matrix."""
+"""Strategy profiles: the beta family, wagers, and the transition matrix.
+
+A fan's root is node 0 and owns every edge, so its profile arrays are the
+root's rows; elsewhere ``support.node_rows`` cuts the per-edge arrays into
+per-node rows.
+"""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+import support
+from support import chooser_transition_matrix
 from pathwager import (
     GraphKind,
     StrategyError,
-    StrategyProfile,
     build_graph,
     build_propagation_matrix,
     build_stopping_variant,
     build_window_game,
     build_profile,
-    chooser_transition_matrix,
     classify,
-    guess_distribution,
     solve,
 )
 
@@ -31,18 +36,18 @@ def fan24():
 def test_min_risk_profile_on_fan24():
     g = fan24()
     profile = build_profile(solve(g), g, beta=1.0)
-    assert np.allclose(profile.chooser[0], [2 / 3, 1 / 3])
+    assert np.allclose(profile.chooser, [2 / 3, 1 / 3])
     assert abs(profile.wagers[0] - 1 / 3) < 1e-12
     # critical wager: 1 - H / v_max
     assert abs(profile.wagers[0] - (1 - (8 / 3) / 4)) < 1e-12
-    assert np.allclose(profile.guesser[0], [1.0, 0.0], atol=1e-15)
+    assert np.allclose(profile.guesser, [1.0, 0.0], atol=1e-15)
 
 
 def test_max_risk_profile_on_fan24():
     g = fan24()
     profile = build_profile(solve(g), g, beta=0.0)
     assert profile.wagers[0] == 1.0
-    assert np.allclose(profile.guesser[0], profile.chooser[0])
+    assert np.allclose(profile.guesser, profile.chooser)
 
 
 def test_intermediate_beta_on_fan24():
@@ -50,26 +55,26 @@ def test_intermediate_beta_on_fan24():
     profile = build_profile(solve(g), g, beta=0.5)
     assert abs(profile.wagers[0] - 2 / 3) < 1e-12
     # (n p_1 - 1 + w) / (n w) with p_1 = 2/3, w = 2/3
-    assert abs(profile.guesser[0][0] - 3 / 4) < 1e-12
+    assert abs(profile.guesser[0] - 3 / 4) < 1e-12
 
 
 def test_window_game_min_risk_closed_form():
     g = build_window_game(2, 1)
-    profile = build_profile(solve(g), g, beta=1.0)
-    assert abs(profile.chooser[0][0] - 1 / PHI) < 1e-10
-    assert abs(profile.chooser[0][1] - 1 / PHI**2) < 1e-10
-    assert np.allclose(profile.guesser[0], [1.0, 0.0], atol=1e-12)
-    assert abs(profile.wagers[0] - (1 / PHI - 1 / PHI**2)) < 1e-10
+    rows = support.node_rows(g, build_profile(solve(g), g, beta=1.0))
+    assert abs(rows.chooser[0][0] - 1 / PHI) < 1e-10
+    assert abs(rows.chooser[0][1] - 1 / PHI**2) < 1e-10
+    assert np.allclose(rows.guesser[0], [1.0, 0.0], atol=1e-12)
+    assert abs(rows.wagers[0] - (1 / PHI - 1 / PHI**2)) < 1e-10
     # forced node: bet everything
-    assert profile.wagers[1] == 1.0
-    assert profile.chooser[1][0] == 1.0
+    assert rows.wagers[1] == 1.0
+    assert rows.chooser[1][0] == 1.0
 
 
 def test_beta_family_identities(corpus):
     for entry in corpus:
         sol = solve(entry.graph)
         for beta in BETAS:
-            profile = build_profile(sol, entry.graph, beta=beta)
+            profile = support.node_rows(entry.graph, build_profile(sol, entry.graph, beta=beta))
             for i in entry.graph.nonterminals:
                 p = profile.chooser[i]
                 g = profile.guesser[i]
@@ -90,7 +95,7 @@ def test_beta_family_identities(corpus):
 def test_beta_one_excludes_least_likely(corpus):
     for entry in corpus:
         sol = solve(entry.graph)
-        profile = build_profile(sol, entry.graph, beta=1.0)
+        profile = support.node_rows(entry.graph, build_profile(sol, entry.graph, beta=1.0))
         for i in entry.graph.nonterminals:
             p = profile.chooser[i]
             if len(p) == 1 or profile.wagers[i] == 0.0:
@@ -103,7 +108,7 @@ def test_beta_one_excludes_least_likely(corpus):
 def test_min_risk_profile_with_tiny_wagers(n):
     # smallest wagers about 9.5e-7 (n = 20) and 9.3e-10 (n = 30)
     g = build_stopping_variant(n)
-    profile = build_profile(solve(g), g, beta=1.0)
+    profile = support.node_rows(g, build_profile(solve(g), g, beta=1.0))
     assert 0.0 < min(w for w in profile.wagers.values()) < 1e-6
     for i in g.nonterminals:
         p, guess, w = profile.chooser[i], profile.guesser[i], profile.wagers[i]
@@ -116,7 +121,7 @@ def test_min_risk_profile_with_tiny_wagers(n):
 def test_beta_zero_full_wager(corpus):
     for entry in corpus[:20]:
         sol = solve(entry.graph)
-        profile = build_profile(sol, entry.graph, beta=0.0)
+        profile = support.node_rows(entry.graph, build_profile(sol, entry.graph, beta=0.0))
         for i in entry.graph.nonterminals:
             assert profile.wagers[i] == 1.0
             assert np.allclose(profile.guesser[i], profile.chooser[i], atol=1e-15)
@@ -126,7 +131,7 @@ def test_zero_wager_uniform_guess():
     g = build_graph(["root", "a", "b"], [("root", "a"), ("root", "b")], {"a": 1, "b": 1})
     profile = build_profile(solve(g), g, beta=1.0)
     assert profile.wagers[0] == 0.0
-    assert np.allclose(profile.guesser[0], [0.5, 0.5])
+    assert np.allclose(profile.guesser, [0.5, 0.5])
 
 
 def test_build_profile_validates():
@@ -139,20 +144,20 @@ def test_build_profile_validates():
         build_profile(sol, other, beta=1.0)
 
 
-def test_guess_distribution_paths():
+def test_guess_rows_paths():
     g = fan24()
     profile = build_profile(solve(g), g, beta=0.5)
-    assert np.allclose(guess_distribution(profile, 0), profile.guesser[0])
+    # the root's guess row lies on the simplex, so clamping leaves it as it is
+    row = profile.guesser[g.edge_offsets[0]:g.edge_offsets[1]]
+    clamped = np.clip(row, 0.0, 1.0)
+    assert np.allclose(clamped / clamped.sum(), row) and len(row) == 2
+    # a terminal node owns no edges and wagers nothing
+    assert g.edge_offsets.tolist() == [0, 2, 2, 2] and profile.wagers[1] == 0.0
+    # a guess row out of range is refused where it is built: u = (1, -1, 2)
+    # gives the root p = (-1, 2) and, at beta = 1/2, the guess (-1/4, 5/4)
+    bad = types.SimpleNamespace(graph=g, reciprocals=np.array([1.0, -1.0, 2.0]))
     with pytest.raises(StrategyError):
-        guess_distribution(profile, 1)  # terminal node
-    bad = StrategyProfile(
-        beta=0.5,
-        chooser={0: np.array([0.5, 0.5])},
-        guesser={0: np.array([1.2, -0.2])},
-        wagers={0: 0.5},
-    )
-    with pytest.raises(StrategyError):
-        guess_distribution(bad, 0)
+        build_profile(bad, g, beta=0.5)
 
 
 def test_transition_matrix_terminating(corpus):
@@ -177,9 +182,8 @@ def test_transition_matrix_agrees_with_profile(corpus):
         sol = solve(entry.graph)
         p = chooser_transition_matrix(sol, entry.graph)
         profile = build_profile(sol, entry.graph)
-        for i in entry.graph.nonterminals:
-            for pos, j in enumerate(entry.graph.successors[i]):
-                assert abs(p[i, j] - profile.chooser[i][pos]) <= 1e-12, entry.name
+        for e, (i, j) in enumerate(entry.graph.edges()):
+            assert abs(p[i, j] - profile.chooser[e]) <= 1e-12, entry.name
 
 
 def test_transition_equals_propagation_when_fair():
@@ -199,7 +203,7 @@ def test_one_step_fortune_multiplier_identity(corpus):
         sol = solve(entry.graph)
         scale = 1.0 if sol.spectral is None else 1.0 / sol.spectral.radius
         for beta in (0.0, 0.5, 1.0):
-            profile = build_profile(sol, entry.graph, beta=beta)
+            profile = support.node_rows(entry.graph, build_profile(sol, entry.graph, beta=beta))
             for i in entry.graph.nonterminals:
                 succ = entry.graph.successors[i]
                 n = len(succ)

@@ -3,12 +3,14 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+import pathwager.verify
 import support
 from pathwager import values
 from pathwager.oracle import parse_oracle_spec
@@ -17,15 +19,17 @@ from pathwager import (
     UnsupportedGraphError,
     build_graph,
     build_propagation_matrix,
+    build_stopping_variant,
     build_window_game,
     classify,
+    build_profile,
     solve,
-    solve_fan,
     solve_strongly_connected,
     solve_terminating,
     solve_tree,
-    truncated_values,
+    stopping_analysis,
 )
+from pathwager.values import _truncation_series
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -35,30 +39,46 @@ def lam_root(n: int) -> float:
     return scipy.optimize.brentq(lambda x: x**n - x ** (n - 1) - 1, 1.0, 2.0, xtol=1e-15)
 
 
+def fan_graph(leaf_values):
+    leaves = [f"leaf{k}" for k in range(len(leaf_values))]
+    return build_graph(["root", *leaves], [("root", lab) for lab in leaves],
+                       dict(zip(leaves, leaf_values)))
+
+
+def fan_root_and_mix(leaf_values, exact=False):
+    """The root value, and the chooser's mix as a tuple, of a solved fan."""
+    g = fan_graph(leaf_values)
+    sol = solve(g, exact=exact)
+    if exact:
+        recips = [1 / v for v in sol.exact_values[1:]]
+        return sol.exact_values[0], tuple(r / sum(recips) for r in recips)
+    return sol.values[0], tuple(build_profile(sol, g).chooser.tolist())
+
+
 def test_solve_fan_closed_forms():
-    root, probs = solve_fan([2, 4])
+    root, probs = fan_root_and_mix([2, 4])
     assert abs(root - 8 / 3) < 1e-15
     assert abs(probs[0] - 2 / 3) < 1e-15 and abs(probs[1] - 1 / 3) < 1e-15
 
-    root, probs = solve_fan([5])
+    root, probs = fan_root_and_mix([5])
     assert root == 10.0 and probs == (1.0,)
 
-    root, probs = solve_fan([3.5] * 4)
+    root, probs = fan_root_and_mix([3.5] * 4)
     assert abs(root - 3.5) < 1e-12
     assert all(abs(p - 0.25) < 1e-15 for p in probs)
 
 
 def test_solve_fan_exact():
-    root, probs = solve_fan([2, 4], exact=True)
+    root, probs = fan_root_and_mix([2, 4], exact=True)
     assert root == Fraction(8, 3)
     assert probs == (Fraction(2, 3), Fraction(1, 3))
 
 
 def test_solve_fan_rejects_bad_input():
     with pytest.raises(ValueError):
-        solve_fan([])
+        fan_graph([])  # the leafless root is a terminal without a value
     with pytest.raises(ValueError):
-        solve_fan([1, -2])
+        fan_graph([1, -2])
 
 
 def test_solve_tree_chain_doubles():
@@ -83,13 +103,13 @@ def test_solve_tree_height_two():
 def test_solve_tree_matches_solve_fan():
     g = build_graph(["root", "a", "b"], [("root", "a"), ("root", "b")], {"a": 2, "b": 4})
     tree = solve_tree(g)
-    fan_root, _ = solve_fan([2, 4])
-    assert tree.values[0] == fan_root
+    fan_root, _ = fan_root_and_mix([2, 4])
+    assert tree.values[0] == fan_root == 2 / (1 / 2 + 1 / 4)  # the harmonic mean
 
     # single-leaf fan: sure bet doubles the leaf value
     g1 = build_graph(["root", "a"], [("root", "a")], {"a": 5})
     assert classify(g1).kind is GraphKind.FAN
-    assert solve_tree(g1).values[0] == solve_fan([5]).root_value == 10.0
+    assert solve_tree(g1).values[0] == fan_root_and_mix([5])[0] == 10.0
 
 
 def _dense_absorbing_values(g):
@@ -515,7 +535,7 @@ def test_solve_dispatch_and_unsupported():
 
 def test_truncated_values_terminating():
     fan = build_graph(["root", "a", "b"], [("root", "a"), ("root", "b")], {"a": 2, "b": 4})
-    series = truncated_values(fan, 3)
+    series = _truncation_series(solve(fan), 3)
     sol = solve(fan)
     # s = 0 starts from ones on non-terminals
     assert series.vectors[0][0] == 1.0
@@ -527,7 +547,7 @@ def test_truncated_values_terminating():
 
 def test_truncated_values_sc_converges():
     g = build_window_game(2, 1)
-    series = truncated_values(g, 64)
+    series = _truncation_series(solve(g), 64)
     assert series.residuals[64] < 1e-9
 
 
@@ -535,7 +555,7 @@ def test_truncation_residuals_settle(corpus):
     # monotone decay after a short transient, until the float noise floor
     noise_floor = 1e-9
     for entry in corpus:
-        series = truncated_values(entry.graph, 220)
+        series = _truncation_series(solve(entry.graph), 220)
         res = series.residuals
         assert res[200] < 1e-8, entry.name
         for s in range(25, 219):
@@ -551,3 +571,43 @@ def test_solution_serialization_roundtrip():
     assert doc["class"] == "fan"
     doc_float = solve(fan).to_dict()
     assert abs(doc_float["values"]["root"] - 8 / 3) < 1e-15
+
+
+def _exit_cycle(n: int):
+    """One n-node cycle whose first node may also exit: one cyclic component."""
+    labels = [f"c{k}" for k in range(n)] + ["exit"]
+    edges = [(f"c{k}", f"c{(k + 1) % n}") for k in range(n)] + [("c0", "exit")]
+    return build_graph(labels, edges, {"exit": 1})
+
+
+def test_dense_block_over_its_budget_is_refused_before_allocating():
+    n = 6000  # four 6000 x 6000 float64 arrays: 1.15e9 bytes, over 1 GiB
+    g = _exit_cycle(n)
+    classify(g)  # the graph's own structures, before the clock
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedGraphError) as refused:
+            solve(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # a 6000-entry right-hand side, not a 6000 x 6000 block
+    assert str(refused.value) == (
+        f"a cyclic component of {n} nodes needs {4 * n * n * 8} bytes for its dense solve, "
+        f"over the budget of {2**30} bytes")
+
+
+def test_both_dense_block_builders_share_one_budget(monkeypatch):
+    # the audit's budget is this constant; window-stop:4000 and the benchmark's
+    # largest cyclic component (251 nodes) stay under it
+    assert pathwager.verify.AUDIT_BUDGET_BYTES is values.DENSE_BUDGET_BYTES == 2**30
+    assert 4 * 4000**2 * 8 <= values.DENSE_BUDGET_BYTES
+    g = build_stopping_variant(60)  # one 60-node cyclic component
+    needed = 4 * 60**2 * 8
+    monkeypatch.setattr(values, "DENSE_BUDGET_BYTES", needed)
+    sol = solve(g)
+    stopping_analysis(sol, g, t_max=10)
+    monkeypatch.setattr(values, "DENSE_BUDGET_BYTES", needed - 1)
+    for call in (lambda: solve(g), lambda: stopping_analysis(sol, g, t_max=10)):
+        with pytest.raises(UnsupportedGraphError, match=f"of 60 nodes needs {needed} bytes"):
+            call()

@@ -49,9 +49,9 @@ def test_certify_fan_flags_bad_wager():
     # only 4 * (1 - 0.9) = 0.4, far below the value
     bad = StrategyProfile(
         beta=1.0,
-        chooser={0: np.array([2 / 3, 1 / 3])},
-        guesser={0: np.array([1.0, 0.0])},
-        wagers={0: 0.9},
+        chooser=np.array([2 / 3, 1 / 3]),
+        guesser=np.array([1.0, 0.0]),
+        wagers=np.array([0.9, 0.0, 0.0]),
     )
     cert = certify_fan([2, 4], bad)
     assert not cert.passed
@@ -75,6 +75,10 @@ def test_certify_fan_validates_input():
         certify_fan([2], profile)
     with pytest.raises(ValueError):
         certify_fan([2, 4, 8], profile)
+    # the root must be node 0
+    late = build_graph(["a", "root", "b"], [("root", "a"), ("root", "b")], {"a": 2, "b": 4})
+    with pytest.raises(ValueError):
+        certify_fan([2, 4], build_profile(solve(late), late))
 
 
 def test_certificates_on_corpus_fans(fan_corpus):
@@ -98,12 +102,12 @@ def test_perturbation_sensitivity_on_fans(fan_corpus):
         base = build_profile(sol, g, beta=1.0)
         for pos in range(len(leaf_values)):
             for delta in (0.01, -0.01):
-                skew = base.chooser[root].copy()
+                skew = base.chooser.copy()  # the root's row: a fan's every edge
                 if skew[pos] + delta <= 0:
                     continue
                 skew[pos] += delta
                 skew /= skew.sum()
-                bad = StrategyProfile(beta=1.0, chooser={root: skew},
+                bad = StrategyProfile(beta=1.0, chooser=skew,
                                       guesser=base.guesser, wagers=base.wagers)
                 report = exploit_search(g, sol, fixed_side="chooser", profile=bad)
                 assert report.gain > 1e-4, (entry.name, pos, delta)
