@@ -446,7 +446,7 @@ def dispatch(argv=None) -> int:
         ConvergenceError,
         FileNotFoundError,
         ValueError,
-        MemoryError,  # a huge dense block; numpy's message has the size
+        MemoryError,  # an allocation the caller asked for (a huge --reps); numpy names the size
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -202,7 +202,7 @@ def steady_state_fortunes(solution: GameSolution, simulation=None) -> SteadyStat
     return SteadyStateFortunes(shape=shape, c_estimate=c_est, c_stderr=c_se)
 
 
-def analyze(solution: GameSolution, t_max: int = 500, simulation=None) -> MarkovReport:
+def analyze(solution: GameSolution, t_max: int = 500) -> MarkovReport:
     """Full dynamics report for a solved graph."""
     graph = solution.graph
     fairness = fairness_check(solution, graph)
@@ -218,5 +218,5 @@ def analyze(solution: GameSolution, t_max: int = 500, simulation=None) -> Markov
                 )
     else:
         report.invariant = invariant_measure(solution)
-        report.steady_fortunes = steady_state_fortunes(solution, simulation)
+        report.steady_fortunes = steady_state_fortunes(solution)
     return report

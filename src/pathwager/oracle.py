@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import GameGraph, GraphError, GraphKind, build_graph, classify
-from .strategy import _edge_probabilities
+from .strategy import build_profile
 from .values import solve_terminating
 
 TRUTH = "truth"
@@ -349,12 +349,13 @@ def build_stopping_variant(n: int) -> GameGraph:
         edge_labels[(base.labels[node], "stop")] = "stop"
     graph = build_graph(labels, edges, {"stop": 1}, edge_labels=edge_labels)
 
-    solution = solve_terminating(graph)
-    into_stop = solution.edges.dst == graph.index_of("stop")
-    stop_prob = dict(zip(solution.edges.src[into_stop], _edge_probabilities(solution)[into_stop]))
+    chooser = build_profile(solve_terminating(graph), graph, beta=0).chooser
+    stop, last = graph.index_of("stop"), graph.edge_offsets[1:] - 1
     for i in range(1, n + 1):
         want = stop_probability_formula(n, i)
-        got = float(stop_prob.get(graph.index_of(str(i)), 0.0))
+        node = graph.index_of(str(i))
+        # "stop" has the highest index: the last successor of a node that can stop
+        got = float(chooser[last[node]]) if graph.successors[node][-1] == stop else 0.0
         if abs(got - want) > _STOP_FORMULA_TOL:
             raise OracleBuildError(
                 f"stopping-variant construction failed its self-check at node {i}: "

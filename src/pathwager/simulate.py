@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import GameGraph, GraphKind, classify
-from .strategy import StrategyProfile, build_profile
+from .strategy import StrategyProfile
 from .values import GameSolution, UnsupportedGraphError
 
 _PHILOX_M0 = np.uint64(0xD2511F53)
@@ -120,6 +120,8 @@ class SimulationConfig:
             raise ValueError("replications must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if not 0 <= self.start < self.graph.num_nodes:
+            raise ValueError(f"start node {self.start} is outside 0..{self.graph.num_nodes - 1}")
         if self.graph.is_terminal(self.start):
             raise ValueError("start node must be non-terminal")
         if self.discount is not None and not 0.0 < self.discount <= 1.0:
@@ -198,6 +200,8 @@ def play_step(
     two draws are independent.  Landing on a terminal node multiplies the
     fortune by that node's value.
     """
+    if not 0 <= node < graph.num_nodes:
+        raise ValueError(f"node {node} is outside 0..{graph.num_nodes - 1}")
     succ = graph.successors[node]
     if not succ:
         raise ValueError("cannot play from a terminal node")
@@ -407,8 +411,7 @@ def exploit_search(
     graph: GameGraph,
     solution: GameSolution,
     fixed_side: str,
-    beta: float = 1.0,
-    profile: Optional[StrategyProfile] = None,
+    profile: StrategyProfile,
 ) -> ExploitReport:
     """Search pure positional deviations against one side's fixed strategy.
 
@@ -420,16 +423,15 @@ def exploit_search(
     choices, the first on ties; the guesser's best reply at a node stakes
     her whole fortune on one successor, which ``_best_reply`` finds
     exactly.  ``deviation`` holds the last sweep's actions.  The fixed side
-    plays the limiting strategy at ``beta`` unless an explicit (possibly
-    off-equilibrium) profile is supplied; the gain is always reported
-    relative to the game value.
+    plays ``profile``, which may be off equilibrium; the gain is always
+    reported relative to the game value.
     """
     if fixed_side not in ("chooser", "guesser"):
         raise ValueError("fixed_side must be 'chooser' or 'guesser'")
     if not solution.graph_class.is_terminating:
         raise UnsupportedGraphError("exploit search requires a terminating graph")
-    if profile is None:
-        profile = build_profile(solution, graph, beta=beta)
+    if not profile.matches(graph):
+        raise ValueError("strategy profile does not match the graph")
     guesser_held = fixed_side == "guesser"
     mix = profile.guesser if guesser_held else profile.chooser
     blocks = [

@@ -115,9 +115,3 @@ def build_profile(solution: GameSolution, graph: GameGraph, beta: float = 1.0) -
         raise StrategyError(f"guess probabilities out of range at {min(errors)[1]}")
     return StrategyProfile(beta=float(beta), chooser=chooser, guesser=guesser, wagers=wagers)
 
-
-def _edge_probabilities(solution: GameSolution) -> np.ndarray:
-    """P along each edge of ``solution.edges``: v_src w u_dst, divided by r if there is one."""
-    edges = solution.edges
-    p = solution.values[edges.src] * edges.weight * solution.reciprocals[edges.dst]
-    return p if solution.spectral is None else p / solution.spectral.radius

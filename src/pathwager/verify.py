@@ -5,11 +5,13 @@ sides: against the guesser's profile every chooser move yields the game
 value, and against the chooser's mix no (guess, wager) pair beats it.  Both
 deviation searches are exact: the guesser's payoff is linear in her wager,
 so her best reply stakes everything on one successor, and no wager grid is
-searched.  Small terminating games are additionally bracketed by depth-limited
-backward induction that is entirely independent of the linear-algebra
-solvers, and the limit theory is audited by raising the propagation
-matrix to a high power directly, by repeated squaring of its transient
-block, stopped once that block's power is exactly zero.
+searched.  ``certify_graph`` runs them on every terminating graph, fans
+included.  Small terminating games are additionally bracketed by
+depth-limited backward induction that is entirely independent of the
+linear-algebra solvers, and ``audit_convergence`` audits the limit theory by
+raising the propagation matrix to a high power directly, by repeated
+squaring of its transient block, stopped once that block's power is exactly
+zero.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .graph import GameGraph, GraphKind, classify
-from .simulate import _best_reply, _move_payoffs, exploit_search
-from .strategy import StrategyProfile, build_profile
+from .simulate import _move_payoffs, exploit_search
+from .strategy import build_profile
 from .values import (
     DENSE_BUDGET_BYTES as AUDIT_BUDGET_BYTES,
     GameSolution,
     UnsupportedGraphError,
     build_propagation_matrix,
-    solve,
 )
 
 GAIN_TOL = 1e-9
@@ -70,63 +71,6 @@ class Certificate:
                 {"name": c.name, "passed": c.passed, **c.detail} for c in self.checks
             ],
         }
-
-
-def certify_fan(values: Sequence[float], profile: StrategyProfile) -> Certificate:
-    """Equilibrium certificate for a one-level game with n >= 2 leaves.
-
-    (a) every chooser move earns exactly the root value against the guesser
-    profile; (b) the guesser's exact best reply to the chooser mix, all in
-    on the largest p_j v_j, does not beat the root value; (c) the per-move
-    expectations divided by the leaf values sum to n.  ``profile`` belongs to
-    the fan whose root is node 0.
-    """
-    vals = np.asarray(values, dtype=float)
-    n = len(vals)
-    if n < 2:
-        raise ValueError("fan certificates need at least two leaves")
-    # the root, node 0, owns every edge; the leaves wager nothing
-    if len(profile.chooser) != n or profile.wagers[1:].any():
-        raise ValueError("profile does not match the fan")
-    p, g, w = profile.chooser, profile.guesser, float(profile.wagers[0])
-    root_value = n / (1.0 / vals).sum()
-
-    # (a) chooser side: E[F | move to j] = v_j (w (n g_j - 1) + 1)
-    per_move = _move_payoffs(g, w, vals)
-    chooser_gain = float(root_value - per_move.min())
-    checks = [
-        CheckResult(
-            "chooser_moves_all_equal_value",
-            bool(np.abs(per_move - root_value).max() <= GAIN_TOL),
-            {"per_move": per_move.tolist(), "value": root_value},
-        )
-    ]
-
-    # (b) guesser side: her best reply against the chooser mix
-    best = float(_best_reply(p, vals)[1])
-    guesser_gain = float(best - root_value)
-    checks.append(
-        CheckResult(
-            "no_guesser_deviation_beats_value",
-            guesser_gain <= GAIN_TOL,
-            {"best_deviation_value": best, "value": root_value},
-        )
-    )
-
-    # (c) sum identity: sum_j E[F | move j] / v_j = n, for any guesser play
-    total = float((per_move / vals).sum())
-    checks.append(
-        CheckResult(
-            "per_move_sum_identity",
-            abs(total - n) <= 1e-12 * n,
-            {"sum": total, "expected": n},
-        )
-    )
-    return Certificate(
-        checks=checks,
-        max_chooser_gain=max(chooser_gain, 0.0),
-        max_guesser_gain=max(guesser_gain, 0.0),
-    )
 
 
 @dataclass
@@ -198,7 +142,7 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"the backward-induction depth must be at least 1, got {depth}")
 
 
-def audit_convergence(graph: GameGraph, steps: int = 400) -> Certificate:
+def audit_convergence(solution: GameSolution, steps: int = 400) -> Certificate:
     """Check that iterating the propagation matrix reaches its limit.
 
     Terminating: M^s approaches [[0, (I-A)^{-1} B], [0, I]].  Strongly
@@ -210,10 +154,6 @@ def audit_convergence(graph: GameGraph, steps: int = 400) -> Certificate:
     part.  A graph whose arrays would exceed ``AUDIT_BUDGET_BYTES`` gets a
     failed ``power_audit_not_run`` check instead.
     """
-    return _audit(solve(graph), steps)
-
-
-def _audit(solution: GameSolution, steps: int) -> Certificate:
     if steps < 0:
         raise ValueError(f"audit steps must be nonnegative, got {steps}")
     graph = solution.graph
@@ -311,7 +251,6 @@ def certify_graph(
     solution: GameSolution,
     betas: Sequence[float] = (0.0, 0.5, 1.0),
     depth: int = 60,
-    audit_steps: int = 400,
 ) -> Certificate:
     """Composite certificate used by the command-line ``verify``.
 
@@ -324,7 +263,7 @@ def certify_graph(
     checks: list[CheckResult] = []
     max_c = max_g = 0.0
 
-    audit = _audit(solution, audit_steps)
+    audit = audit_convergence(solution)
     checks.extend(audit.checks)
     residual = audit.residual
 

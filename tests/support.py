@@ -59,7 +59,6 @@ from pathwager.simulate import (
     _pick,
     step_uniforms,
 )
-from pathwager.strategy import _edge_probabilities
 from pathwager.values import _component_block, _truncation_series, build_propagation_matrix
 from pathwager.verify import RESIDUAL_TOL, Certificate, CheckResult, _pair_product
 
@@ -652,6 +651,13 @@ def chooser_transition_matrix(solution, graph: GameGraph) -> np.ndarray:
     return p
 
 
+def _edge_probabilities(solution) -> np.ndarray:
+    """P along each edge of ``solution.edges``: v_src w u_dst, divided by r if there is one."""
+    edges = solution.edges
+    p = solution.values[edges.src] * edges.weight * solution.reciprocals[edges.dst]
+    return p if solution.spectral is None else p / solution.spectral.radius
+
+
 def loop_edge_tables(graph: GameGraph, profile: StrategyProfile):
     """``simulate._edge_tables``, one node at a time."""
     n = graph.num_nodes
@@ -927,11 +933,12 @@ def block_power_to_the_end(a: np.ndarray, b: np.ndarray, steps: int):
     return (np.eye(len(a)), np.zeros_like(b)) if power is None else power
 
 
-def bench_workloads():
-    """The benchmark's graph generators (``bench/workloads.py``, stdlib only)."""
+def bench_module(name: str):
+    """``bench/<name>.py``, loaded from its file (the benchmark is not a package);
+    ``workloads`` holds the graph generators, ``spans`` the tracer, both stdlib only."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+                        "bench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve annotations through it
     spec.loader.exec_module(module)

@@ -32,7 +32,7 @@ from pathwager import (
     stopping_analysis,
 )
 from support import chooser_transition_matrix
-from pathwager.verify import audit_convergence, brute_force_value, certify_fan
+from pathwager.verify import audit_convergence, brute_force_value, certify_graph
 
 ACCEPTANCE_SEED = 20260811
 
@@ -173,7 +173,7 @@ def test_criterion_07_equilibrium_certificates():
             leaf_values = [g.values[j] for j in g.successors[root]]
             sol = solve(g)
             for beta in (0.0, 0.5, 1.0):
-                cert = certify_fan(leaf_values, build_profile(sol, g, beta=beta))
+                cert = certify_graph(g, sol, betas=(beta,))
                 assert cert.passed, (entry.name, beta)
                 assert cert.max_chooser_gain <= 1e-9 and cert.max_guesser_gain <= 1e-9
             if len(set(leaf_values)) < 2:
@@ -211,7 +211,7 @@ def test_criterion_08_brute_force_agreement():
 def test_criterion_09_convergence_audits():
     with criterion(9, "propagation-matrix limits at s=400", budget_s=10.0):
         for entry in support.full_corpus():
-            cert = audit_convergence(entry.graph, steps=400)
+            cert = audit_convergence(solve(entry.graph), steps=400)
             assert cert.passed, (entry.name, cert.residual)
             assert cert.residual <= 1e-8, entry.name
             if classify(entry.graph).kind.value == "strongly_connected_aperiodic":

@@ -346,7 +346,8 @@ def test_each_command_classifies_and_solves_once(spec, tmp_path, capsys, monkeyp
     for module in (pathwager.markov, pathwager.strategy, pathwager.oracle):
         assert not hasattr(module, "build_propagation_matrix"), module.__name__
     passes = _count_calls(monkeypatch, "_strong_components", [pathwager.graph])
-    solves = _count_calls(monkeypatch, "solve", [pathwager.cli, pathwager.values, pathwager.verify])
+    assert not hasattr(pathwager.verify, "solve")  # certify_graph reuses the solution
+    solves = _count_calls(monkeypatch, "solve", [pathwager.cli, pathwager.values])
     dense = _count_calls(monkeypatch, "build_propagation_matrix",
                          [pathwager.values, pathwager.verify])
     assert dispatch(["generate", "--oracle", spec, "--out", path]) == 0

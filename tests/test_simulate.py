@@ -432,12 +432,13 @@ def test_config_validation():
 def test_exploit_search_fan_equilibrium():
     g = fan([2, 4])
     sol = solve(g)
-    held_guesser = exploit_search(g, sol, fixed_side="guesser")
+    profile = build_profile(sol, g)
+    held_guesser = exploit_search(g, sol, fixed_side="guesser", profile=profile)
     # every pure chooser move yields exactly the harmonic-mean value
     assert held_guesser.gain <= 1e-12
     assert abs(held_guesser.values[0] - 8 / 3) < 1e-12
 
-    held_chooser = exploit_search(g, sol, fixed_side="chooser")
+    held_chooser = exploit_search(g, sol, fixed_side="chooser", profile=profile)
     assert held_chooser.values[0] <= 8 / 3 + 1e-12
     assert held_chooser.gain <= 1e-12
 
@@ -460,7 +461,8 @@ def test_exploit_search_equilibrium_on_corpus(terminating_corpus):
         sol = solve(entry.graph)
         for beta in (0.0, 1.0):
             for side in ("chooser", "guesser"):
-                report = exploit_search(entry.graph, sol, fixed_side=side, beta=beta)
+                profile = build_profile(sol, entry.graph, beta=beta)
+                report = exploit_search(entry.graph, sol, fixed_side=side, profile=profile)
                 assert report.gain <= 1e-9, (entry.name, side, beta)
 
 
@@ -468,7 +470,26 @@ def test_exploit_search_requires_terminating():
     g = build_window_game(2, 1)
     sol = solve(g)
     with pytest.raises(Exception):
-        exploit_search(g, sol, fixed_side="chooser")
+        exploit_search(g, sol, fixed_side="chooser", profile=build_profile(sol, g))
+
+
+@pytest.mark.parametrize("side", ["guesser", "chooser"])
+def test_exploit_search_refuses_a_profile_from_another_graph(side):
+    g = build_stopping_variant(5)
+    other = build_stopping_variant(6)  # 12 edges against 10
+    profile = build_profile(solve(other), other)
+    with pytest.raises(ValueError, match="strategy profile does not match the graph"):
+        exploit_search(g, solve(g), fixed_side=side, profile=profile)
+
+
+@pytest.mark.parametrize("node", [-1, -2, 3])
+def test_out_of_range_nodes_are_refused(node):
+    g = fan([2, 4])  # nodes 0..2
+    profile = build_profile(solve(g), g)
+    with pytest.raises(ValueError, match=f"start node {node} is outside 0..2"):
+        SimulationConfig(graph=g, profile=profile, start=node, replications=5)
+    with pytest.raises(ValueError, match=f"node {node} is outside 0..2"):
+        play_step(g, profile, node, 1.0, StepRng(seed=0))
 
 
 def test_no_grid_wager_beats_the_best_reply():

@@ -20,12 +20,13 @@ from pathwager import (
     solve,
 )
 from pathwager.cli import dispatch
+from pathwager.simulate import _move_payoffs
 from pathwager.values import build_propagation_matrix
+import pathwager.values
 import pathwager.verify
 from pathwager.verify import (
     audit_convergence,
     brute_force_value,
-    certify_fan,
     certify_graph,
 )
 
@@ -34,61 +35,70 @@ def fan24():
     return build_graph(["root", "a", "b"], [("root", "a"), ("root", "b")], {"a": 2, "b": 4})
 
 
+def assert_fan_certified(g, sol, beta, name=None):
+    """``certify_graph`` passes the fan at ``beta`` with no gain on either
+    side, and every chooser move at the root earns the root's value."""
+    cert = certify_graph(g, sol, betas=(beta,))
+    assert cert.passed, (name, beta)
+    assert cert.max_chooser_gain <= 1e-12, (name, beta)
+    assert cert.max_guesser_gain <= 1e-12, (name, beta)
+    root = g.nonterminals[0]  # the root owns every edge of a fan
+    profile = build_profile(sol, g, beta=beta)
+    leaves = np.array([g.values[j] for j in g.successors[root]])
+    per_move = _move_payoffs(profile.guesser, float(profile.wagers[root]), leaves)
+    assert np.abs(per_move - sol.values[root]).max() <= 1e-9, (name, beta)
+
+
 def test_certify_fan_passes_at_optimum():
     g = fan24()
     sol = solve(g)
     for beta in (0.0, 0.5, 1.0):
-        cert = certify_fan([2, 4], build_profile(sol, g, beta=beta))
-        assert cert.passed, beta
-        assert cert.max_chooser_gain <= 1e-12
-        assert cert.max_guesser_gain <= 1e-12
+        assert_fan_certified(g, sol, beta)
 
 
 def test_certify_fan_flags_bad_wager():
     # right guess support, wrong wager: moving to the high-value leaf pays
     # only 4 * (1 - 0.9) = 0.4, far below the value
+    g = fan24()
     bad = StrategyProfile(
         beta=1.0,
         chooser=np.array([2 / 3, 1 / 3]),
         guesser=np.array([1.0, 0.0]),
         wagers=np.array([0.9, 0.0, 0.0]),
     )
-    cert = certify_fan([2, 4], bad)
-    assert not cert.passed
-    assert cert.max_chooser_gain > 2.0
-    per_move = cert.checks[0].detail["per_move"]
-    assert abs(per_move[1] - 0.4) < 1e-12
+    report = exploit_search(g, solve(g), fixed_side="guesser", profile=bad)
+    assert report.gain > 2.0
+    assert report.deviation[0] == g.index_of("b")
+    assert abs(report.values[0] - 0.4) < 1e-12
 
 
 def test_certify_fan_uniform_always_passes():
     g = build_graph(["r", "a", "b", "c"], [("r", x) for x in "abc"], {x: 5 for x in "abc"})
     sol = solve(g)
     for beta in (0.0, 0.3, 1.0):
-        cert = certify_fan([5, 5, 5], build_profile(sol, g, beta=beta))
-        assert cert.passed
-
-
-def test_certify_fan_validates_input():
-    g = fan24()
-    profile = build_profile(solve(g), g)
-    with pytest.raises(ValueError):
-        certify_fan([2], profile)
-    with pytest.raises(ValueError):
-        certify_fan([2, 4, 8], profile)
-    # the root must be node 0
-    late = build_graph(["a", "root", "b"], [("root", "a"), ("root", "b")], {"a": 2, "b": 4})
-    with pytest.raises(ValueError):
-        certify_fan([2, 4], build_profile(solve(late), late))
+        assert_fan_certified(g, sol, beta)
 
 
 def test_certificates_on_corpus_fans(fan_corpus):
     for entry in fan_corpus:
         g = entry.graph
         sol = solve(g)
-        leaf_values = [g.values[j] for j in g.successors[g.nonterminals[0]]]
         for beta in (0.0, 0.5, 1.0):
-            cert = certify_fan(leaf_values, build_profile(sol, g, beta=beta))
-            assert cert.passed, (entry.name, beta)
+            assert_fan_certified(g, sol, beta, entry.name)
+
+
+def test_move_payoffs_sum_to_the_out_degree():
+    # sum_j E[F | move j] / v_j = n for any guess mix and wager at n >= 2
+    rng = np.random.default_rng(5)
+    for n in range(2, 9):
+        g = rng.dirichlet(np.ones(n), size=50)
+        w = rng.uniform(0.0, 1.0, size=(50, 1))
+        cont = rng.uniform(0.25, 8.0, size=(50, n))
+        totals = (_move_payoffs(g, w, cont) / cont).sum(axis=1)
+        assert np.abs(totals - n).max() <= 1e-12 * n, n
+        for k in range(3):  # one node at a time, with a scalar wager
+            total = (_move_payoffs(g[k], float(w[k, 0]), cont[k]) / cont[k]).sum()
+            assert abs(total - n) <= 1e-12 * n, n
 
 
 def test_perturbation_sensitivity_on_fans(fan_corpus):
@@ -170,13 +180,13 @@ def test_brute_force_rejects_empty_sweeps(kwargs, message):
 
 
 def test_audit_convergence_fan_is_exact():
-    cert = audit_convergence(fan24(), steps=1)
+    cert = audit_convergence(solve(fan24()), steps=1)
     assert cert.passed
     assert cert.residual < 1e-15
 
 
 def test_audit_convergence_window_game():
-    cert = audit_convergence(build_window_game(2, 1), steps=200)
+    cert = audit_convergence(solve(build_window_game(2, 1)), steps=200)
     assert cert.passed
     assert cert.residual < 1e-8
     positive = next(c for c in cert.checks if c.name == "limit_strictly_positive")
@@ -184,7 +194,7 @@ def test_audit_convergence_window_game():
 
 
 def test_audit_convergence_stopping_variant_blocks():
-    cert = audit_convergence(build_stopping_variant(3), steps=400)
+    cert = audit_convergence(solve(build_stopping_variant(3)), steps=400)
     assert cert.passed
     block = next(c for c in cert.checks if c.name == "transient_block_vanishes")
     assert block.passed
@@ -192,7 +202,7 @@ def test_audit_convergence_stopping_variant_blocks():
 
 def test_audit_convergence_across_corpus(corpus):
     for entry in corpus:
-        cert = audit_convergence(entry.graph, steps=400)
+        cert = audit_convergence(solve(entry.graph), steps=400)
         assert cert.passed, (entry.name, cert.residual)
 
 
@@ -209,11 +219,34 @@ def test_certify_graph_reuses_the_solution(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("certify_graph solved the graph again")
 
+    assert not hasattr(pathwager.verify, "solve")
+    solvers = ("solve", "solve_terminating", "solve_tree", "solve_strongly_connected")
     for g in (build_stopping_variant(4), build_window_game(3, 1)):
         sol = solve(g)
         with monkeypatch.context() as patch:
-            patch.setattr(pathwager.verify, "solve", refuse)
+            for name in solvers:
+                patch.setattr(pathwager.values, name, refuse)
             assert certify_graph(g, sol).passed
+
+
+def test_traced_audit_is_a_span_inside_certify_graph():
+    # the benchmark's tracer rebinds public names; verify.audit_s must see the audit
+    spans = support.bench_module("spans")
+    graphs = [build_stopping_variant(6), build_window_game(3, 1)]
+    solutions = [solve(g) for g in graphs]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        since = tracer.mark()
+        for g, sol in zip(graphs, solutions):
+            assert pathwager.verify.certify_graph(g, sol).passed
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_metrics(since)["verify.audit_s"][0] > 0
+    by_id = {span[0]: span for span in tracer.spans}
+    audits = [span for span in tracer.spans if span[1] == "verify.audit_convergence"]
+    assert len(audits) == len(graphs)
+    assert all(by_id[span[4]][1] == "verify.certify_graph" for span in audits)
 
 
 def test_certify_graph_builds_one_profile_per_beta(monkeypatch):
@@ -294,14 +327,14 @@ def test_squared_audit_matches_sequential_products(corpus):
                ("window-stop:20", build_stopping_variant(20))]
     for name, g in graphs:
         sol = solve(g)
-        cert = pathwager.verify._audit(sol, 400)
+        cert = audit_convergence(sol, 400)
         reference = sequential_audit_residual(g, sol)
         assert abs(cert.residual - reference) <= 1e-12, (name, cert.residual, reference)
         assert cert.passed == (reference <= pathwager.verify.RESIDUAL_TOL), name
 
 
 def test_audit_still_fails_the_one_lie_window_of_thirty():
-    cert = audit_convergence(build_window_game(30, 1))
+    cert = audit_convergence(solve(build_window_game(30, 1)))
     assert not cert.passed
     assert abs(cert.residual - 7.645e-6) <= 0.01 * 7.645e-6
     scaled = next(c for c in cert.checks if c.name == "scaled_power_limit")
@@ -314,7 +347,7 @@ def test_audit_still_fails_a_slowly_absorbing_ring():
     nt = list(g.nonterminals)
     transient = dense_propagation(g)[np.ix_(nt, nt)]
     assert np.abs(np.linalg.eigvals(transient)).max() >= 0.96
-    cert = audit_convergence(g)
+    cert = audit_convergence(solve(g))
     assert not cert.passed
     failed = {c.name for c in cert.checks if not c.passed}
     assert failed == {"power_limit_absorbing", "transient_block_vanishes"}
@@ -322,13 +355,13 @@ def test_audit_still_fails_a_slowly_absorbing_ring():
 
 def test_audit_rejects_negative_steps():
     with pytest.raises(ValueError):
-        audit_convergence(fan24(), steps=-1)
+        audit_convergence(solve(fan24()), steps=-1)
     with pytest.raises(ValueError):
-        pathwager.verify._audit(solve(build_window_game(3, 1)), -1)
+        audit_convergence(solve(build_window_game(3, 1)), -1)
 
 
 def test_audit_with_zero_steps_compares_the_identity():
-    cert = audit_convergence(fan24(), steps=0)
+    cert = audit_convergence(solve(fan24()), steps=0)
     assert not cert.passed
     assert cert.residual == 1.0
 
@@ -336,7 +369,7 @@ def test_audit_with_zero_steps_compares_the_identity():
 def audit_graphs(corpus):
     """The corpus, the stopping windows, the benchmark's trees and random
     terminating graphs, the slow ring and one multi-lie window."""
-    bench = support.bench_workloads()
+    bench = support.bench_module("workloads")
     rng = random.Random(17)
     graphs = [(e.name, e.graph) for e in corpus]
     graphs += [(f"window-stop:{n}", build_stopping_variant(n)) for n in range(5, 61)]
@@ -350,7 +383,7 @@ def test_block_audit_matches_the_full_matrix_power(corpus):
     for name, g in audit_graphs(corpus):
         sol = solve(g)
         for steps in (0, 1, 400):
-            cert = pathwager.verify._audit(sol, steps)
+            cert = audit_convergence(sol, steps)
             ref = support.dense_audit(sol, steps)
             assert [(c.name, c.passed) for c in cert.checks] == \
                 [(c.name, c.passed) for c in ref.checks], (name, steps)
@@ -391,7 +424,7 @@ def test_exact_stop_is_the_block_loop_run_to_the_end(corpus, monkeypatch):
 def test_audit_of_a_graph_without_moves_passes(capsys, tmp_path):
     g = parse_graph('{"nodes":["t"],"edges":[],"values":{"t":2}}')
     for steps in (0, 1, 400):
-        cert = audit_convergence(g, steps=steps)
+        cert = audit_convergence(solve(g), steps=steps)
         assert cert.passed and cert.residual == 0.0
         assert [c.name for c in cert.checks] == ["power_limit_absorbing"]
     path = tmp_path / "t.json"
@@ -409,7 +442,7 @@ def test_audit_over_its_memory_budget_fails_without_building_arrays(monkeypatch,
         needed = 4 * g.num_nodes ** 2 * 8
         with monkeypatch.context() as patch:
             patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", needed)
-            assert pathwager.verify._audit(solve(g), 400).passed
+            assert audit_convergence(solve(g), 400).passed
             patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", needed - 1)
             patch.setattr(pathwager.verify, "_block_power", refuse)
             patch.setattr(pathwager.verify, "build_propagation_matrix", refuse)
@@ -451,7 +484,8 @@ def test_exact_best_replies_match_the_wager_grid(terminating_corpus):
         sol = solve(g)
         for beta in (0.0, 0.5, 1.0):
             for side in ("chooser", "guesser"):
-                report = exploit_search(g, sol, fixed_side=side, beta=beta)
+                profile = build_profile(sol, g, beta=beta)
+                report = exploit_search(g, sol, fixed_side=side, profile=profile)
                 values, gain, converged = support.grid_exploit_search(g, sol, side, beta)
                 where = (name, beta, side)
                 assert np.all(np.abs(report.values - values) <= 1e-15 * np.abs(values)), where
