@@ -202,6 +202,8 @@ def play_step(
     """
     if not 0 <= node < graph.num_nodes:
         raise ValueError(f"node {node} is outside 0..{graph.num_nodes - 1}")
+    if not profile.matches(graph):
+        raise ValueError("strategy profile does not match the graph")
     succ = graph.successors[node]
     if not succ:
         raise ValueError("cannot play from a terminal node")

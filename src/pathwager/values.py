@@ -38,7 +38,8 @@ _POWER_BLOCK = 16          # products between convergence tests
 _MAX_POWER_ITERATIONS = 10**6
 _MAX_NEWTON_STEPS = 100
 # Memory a dense C x C solve may take (four float64 arrays: C <= 5792); the
-# audit in ``verify`` holds its N x N arrays to the same budget.
+# strongly connected audit in ``verify``, the only holder of N x N arrays,
+# is held to the same budget.
 DENSE_BUDGET_BYTES = 1 << 30
 
 
@@ -85,25 +86,15 @@ class EdgeList:
 
 @dataclass
 class PropagationMatrix:
-    """Dense propagation matrix M with its terminal/non-terminal split.
+    """Dense propagation matrix M, rows and columns in native node order.
 
     M[i, j] = 1 if i is terminal and i == j, 1/2 if out-degree(i) == 1 and
-    i -> j, 1/n_i if out-degree(i) >= 2 and i -> j, else 0.  Rows are kept
-    in native node order; ``nt`` and ``t`` index the blocks, so that after
-    permuting nodes to (nt, t) order M takes the form [[A, B], [0, I]].
+    i -> j, 1/n_i if out-degree(i) >= 2 and i -> j, else 0.  After
+    permuting nodes to (non-terminal, terminal) order M takes the form
+    [[A, B], [0, I]].
     """
 
     matrix: np.ndarray
-    nt: tuple[int, ...]
-    t: tuple[int, ...]
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.matrix[np.ix_(self.nt, self.nt)]
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.matrix[np.ix_(self.nt, self.t)]
 
 
 @dataclass
@@ -169,7 +160,7 @@ def build_propagation_matrix(graph: GameGraph) -> PropagationMatrix:
     edges = EdgeList.of(graph)
     m = np.zeros((graph.num_nodes, graph.num_nodes))
     m[edges.src, edges.dst] = edges.weight
-    return PropagationMatrix(matrix=m, nt=graph.nonterminals, t=graph.terminals)
+    return PropagationMatrix(matrix=m)
 
 
 def solve_tree(graph: GameGraph, exact: bool = False) -> GameSolution:

@@ -9,9 +9,10 @@ searched.  ``certify_graph`` runs them on every terminating graph, fans
 included.  Small terminating games are additionally bracketed by
 depth-limited backward induction that is entirely independent of the
 linear-algebra solvers, and ``audit_convergence`` audits the limit theory by
-raising the propagation matrix to a high power directly, by repeated
-squaring of its transient block, stopped once that block's power is exactly
-zero.
+raising the propagation matrix to a high power: on a terminating graph it
+bounds the power of the transient block with edge-list products, stopped
+once the bound is negligible, and on a strongly connected graph it squares
+the dense matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .simulate import _move_payoffs, exploit_search
 from .strategy import build_profile
 from .values import (
     DENSE_BUDGET_BYTES as AUDIT_BUDGET_BYTES,
+    EdgeList,
     GameSolution,
     UnsupportedGraphError,
     build_propagation_matrix,
@@ -34,6 +36,8 @@ from .values import (
 
 GAIN_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
+_UNIT_ROUNDOFF = 2.0**-53
+_NEGLIGIBLE = RESIDUAL_TOL * 2.0**-52  # an audit bound this small stops the products
 
 
 @dataclass
@@ -145,105 +149,100 @@ def _check_depth(depth: int) -> None:
 def audit_convergence(solution: GameSolution, steps: int = 400) -> Certificate:
     """Check that iterating the propagation matrix reaches its limit.
 
-    Terminating: M^s approaches [[0, (I-A)^{-1} B], [0, I]].  Strongly
-    connected: r^{-s} M^s approaches the positive rank-one matrix
-    x y^T / (x . y).  M^s is formed by repeated squaring of the pair
-    (A, B) in at most floor(log2 s) + popcount(s) - 1 block products, never
-    touching the terminal rows [0, I]; it stops early once A's power is
-    exactly zero, as on trees and every graph with an acyclic transient
-    part.  A graph whose arrays would exceed ``AUDIT_BUDGET_BYTES`` gets a
-    failed ``power_audit_not_run`` check instead.
+    Terminating: M^s approaches [[0, (I-A)^{-1} B], [0, I]], and both of its
+    nonzero blocks are off the limit by at most ||A^s||_inf (the absorption
+    probabilities (I-A)^{-1} B lie in [0, 1] and A^s (I-A)^{-1} B is the
+    gap), which ``_transient_power_bound`` bounds from above with edge-list
+    products, holding no N x N array.  Strongly connected: r^{-s} M^s
+    approaches the positive rank-one matrix x y^T / (x . y); M^s is formed
+    by repeated squaring, and a graph whose arrays would exceed
+    ``AUDIT_BUDGET_BYTES`` gets a failed ``power_audit_not_run`` check
+    instead.
     """
     if steps < 0:
         raise ValueError(f"audit steps must be nonnegative, got {steps}")
     graph = solution.graph
+    if solution.graph_class.is_terminating:
+        bound = _transient_power_bound(solution, steps)
+        checks = [CheckResult("power_limit_absorbing", bound <= RESIDUAL_TOL,
+                              {"steps": steps, "residual": bound})]
+        if graph.nonterminals:
+            checks.append(CheckResult("transient_block_vanishes", bound <= RESIDUAL_TOL,
+                                      {"max_entry": bound}))
+        return Certificate(checks=checks, residual=bound)
+
     n = graph.num_nodes
-    needed = 4 * n * n * 8  # at most four N x N float64 arrays are live at once
+    needed = 4 * n * n * 8  # M, the spare, the power and the limit
     if needed > AUDIT_BUDGET_BYTES:
         detail = {"bytes_needed": needed, "budget_bytes": AUDIT_BUDGET_BYTES}
         return Certificate(checks=[CheckResult("power_audit_not_run", False, detail)])
     prop = build_propagation_matrix(graph)
-    if solution.graph_class.is_terminating:
-        a, b = prop.A, prop.B
-        del prop  # frees M, so the arrays below stay within four N x N
-        limit = np.linalg.solve(np.eye(len(a)) - a, b)  # (I - A)^{-1} B
-        # the terminal rows of M^s and of the limit are both [0, I]
-        power, reach = _block_power(a, b, steps)
-        reach -= limit
-        # the limit's transient block is zero, so this is |A^s| there
-        upper_left = float(np.abs(power, out=power).max(initial=0.0))
-        residual = max(upper_left, float(np.abs(reach, out=reach).max(initial=0.0)))
-        checks = [
-            CheckResult(
-                "power_limit_absorbing",
-                residual <= RESIDUAL_TOL,
-                {"steps": steps, "residual": residual},
-            )
-        ]
-        if graph.nonterminals:
-            checks.append(
-                CheckResult(
-                    "transient_block_vanishes",
-                    upper_left <= RESIDUAL_TOL,
-                    {"max_entry": upper_left},
-                )
-            )
-        return Certificate(checks=checks, residual=residual)
-
     spectral = solution.spectral
     x, y = spectral.right_vec, spectral.left_vec
     limit = np.outer(x, y)
     limit /= x @ y
     prop.matrix /= spectral.radius
-    power, _ = _block_power(prop.matrix, np.empty((n, 0)), steps)
+    power = _matrix_power(prop.matrix, steps)
     power -= limit
     residual = float(np.abs(power, out=power).max())
     checks = [
-        CheckResult(
-            "scaled_power_limit",
-            residual <= RESIDUAL_TOL,
-            {"steps": steps, "residual": residual},
-        ),
-        CheckResult(
-            "limit_strictly_positive",
-            bool(limit.min() > 0.0),
-            {"min_entry": float(limit.min())},
-        ),
+        CheckResult("scaled_power_limit", residual <= RESIDUAL_TOL,
+                    {"steps": steps, "residual": residual}),
+        CheckResult("limit_strictly_positive", bool(limit.min() > 0.0),
+                    {"min_entry": float(limit.min())}),
     ]
     return Certificate(checks=checks, residual=residual)
 
 
-def _block_power(a: np.ndarray, b: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """[[a, b], [0, I]]^steps as the pair (a^s, (I + a + ... + a^(s-1)) b); overwrites a, b.
+def _transient_power_bound(solution: GameSolution, steps: int) -> float:
+    """An upper bound on ||A^steps||_inf for the transient block A of M.
 
-    Pairs multiply as (P1, C1)(P2, C2) = (P1 P2, P1 C2 + C1), so the identity
-    rows are never formed.  The power is taken by repeated squaring (Knuth,
-    TAOCP vol. 2, 4.6.3) into one reused spare pair, so the square, the spare
-    and the power are the only pairs held.  Once a square's P is exactly zero,
-    every later square equals it bit for bit (0 C = 0 and C + 0 = C for finite
-    C), and after one product with it so does the power: the loop stops there.
-    With b of zero columns this is the plain product sequence of a^steps.
+    A >= 0, so ||A^k||_inf = max(A^k 1), and k products v <- A v over the
+    edges between non-terminals give it.  Each row of a product sums at most
+    d_max terms, each with a rounded weight, so the computed v is at least
+    the exact A v / (1 + gamma), gamma = (d_max + 1) u / (1 - (d_max + 1) u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and
+    rho_k = max(v_k) (1 + gamma)^k bounds ||A^k||_inf.  With s = q k + r,
+    ||A^s|| <= rho_k^q rho_r; the loop stops at the first k where that is
+    below ``_NEGLIGIBLE``, which also stops a tree once A^k 1 = 0, and
+    otherwise reports rho_s.
     """
-    power, spare, square = None, (np.empty_like(a), np.empty_like(b)), (a, b)
+    graph, edges = solution.graph, solution.edges
+    transient = np.zeros(edges.size, dtype=bool)
+    transient[list(graph.nonterminals)] = True
+    keep = transient[edges.dst]  # drops the terminal self-loops and the moves into terminals
+    block = EdgeList(src=edges.src[keep], dst=edges.dst[keep], weight=edges.weight[keep],
+                     size=edges.size)
+    terms = max(map(len, graph.successors)) + 1
+    growth = 1.0 + terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
+    v = transient.astype(float)
+    rho = [float(transient.any())]
+    for k in range(1, steps + 1):
+        v = block.matvec(v)
+        rho.append(float(v.max()) * growth**k)
+        q, r = divmod(steps, k)
+        bound = rho[k] ** q * rho[r]
+        if bound <= _NEGLIGIBLE:
+            return bound
+    return rho[steps]
+
+
+def _matrix_power(m: np.ndarray, steps: int) -> np.ndarray:
+    """m^steps by repeated squaring (Knuth, TAOCP vol. 2, 4.6.3); overwrites m.
+
+    The square, the power and one reused spare are the only arrays held, in
+    at most floor(log2 s) + popcount(s) - 1 products.
+    """
+    power, spare = None, np.empty_like(m)
     while steps:
         steps, bit = divmod(steps, 2)
-        if steps and not square[0].any():
-            steps, bit = 0, 1  # every later square is this one: one product takes them all
         if bit and power is None:
-            power = (square[0].copy(), square[1].copy())
+            power = m.copy()
         elif bit:
-            power, spare = _pair_product(power, square, spare), power
+            power, spare = np.matmul(power, m, out=spare), power
         if steps:
-            square, spare = _pair_product(square, square, spare), square
-    return (np.eye(len(a)), np.zeros_like(b)) if power is None else power
-
-
-def _pair_product(x: tuple, y: tuple, out: tuple) -> tuple:
-    """(P1, C1)(P2, C2) = (P1 P2, P1 C2 + C1), written into the pair ``out``."""
-    np.matmul(x[0], y[1], out=out[1])
-    np.add(out[1], x[1], out=out[1])
-    np.matmul(x[0], y[0], out=out[0])
-    return out
+            m, spare = np.matmul(m, m, out=spare), m
+    return np.eye(len(m)) if power is None else power
 
 
 def certify_graph(

@@ -60,7 +60,7 @@ from pathwager.simulate import (
     step_uniforms,
 )
 from pathwager.values import _component_block, _truncation_series, build_propagation_matrix
-from pathwager.verify import RESIDUAL_TOL, Certificate, CheckResult, _pair_product
+from pathwager.verify import RESIDUAL_TOL, Certificate, CheckResult
 
 _VALUE_POOL = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0]
 
@@ -863,9 +863,9 @@ def slow_ring(k: int = 32):
 
 
 # -- full-matrix audit reference ---------------------------------------------
-# The library audits terminating graphs on the transient block (A, B) and
-# stops once A's power is exactly zero.  These are the full N x N power it
-# replaced and the block loop run to the end, kept as references.
+# The library bounds a terminating graph's audit by ||A^s 1||_inf from
+# edge-list products.  This is the full N x N power M^s it replaced, kept as
+# a reference.
 
 
 def matrix_power(m: np.ndarray, steps: int) -> np.ndarray:
@@ -888,11 +888,12 @@ def dense_audit(solution, steps: int = 400) -> Certificate:
     prop = build_propagation_matrix(graph)
     n = graph.num_nodes
     if solution.graph_class.is_terminating:
-        nt, t = list(prop.nt), list(prop.t)
+        nt, t = list(graph.nonterminals), list(graph.terminals)
         limit = np.zeros((n, n))
         limit[t, t] = 1.0
         if nt:
-            limit[np.ix_(nt, t)] = np.linalg.solve(np.eye(len(nt)) - prop.A, prop.B)
+            a, b = prop.matrix[np.ix_(nt, nt)], prop.matrix[np.ix_(nt, t)]
+            limit[np.ix_(nt, t)] = np.linalg.solve(np.eye(len(nt)) - a, b)
         power = matrix_power(prop.matrix, steps)
         power -= limit
         residual = float(np.abs(power, out=power).max())
@@ -917,20 +918,6 @@ def dense_audit(solution, steps: int = 400) -> Certificate:
                     {"min_entry": float(limit.min())}),
     ]
     return Certificate(checks=checks, residual=residual)
-
-
-def block_power_to_the_end(a: np.ndarray, b: np.ndarray, steps: int):
-    """``verify._block_power`` without its stop at a vanished square; overwrites a, b."""
-    power, spare, square = None, (np.empty_like(a), np.empty_like(b)), (a, b)
-    while steps:
-        steps, bit = divmod(steps, 2)
-        if bit and power is None:
-            power = (square[0].copy(), square[1].copy())
-        elif bit:
-            power, spare = _pair_product(power, square, spare), power
-        if steps:
-            square, spare = _pair_product(square, square, spare), square
-    return (np.eye(len(a)), np.zeros_like(b)) if power is None else power
 
 
 def bench_module(name: str):

@@ -65,10 +65,11 @@ def test_stopping_identities_on_corpus(terminating_corpus):
 
 def _dense_stopping(graph, sol, t_max):
     """tau, rho and q_t from the dense blocks A, B: two solves and dense powers of A."""
-    prop = build_propagation_matrix(graph)
-    a, b = prop.A, prop.B
-    v, u_t = sol.values[list(prop.nt)], sol.reciprocals[list(prop.t)]
-    eye = np.eye(len(prop.nt))
+    m = build_propagation_matrix(graph).matrix
+    nt, t = graph.nonterminals, graph.terminals
+    a, b = m[np.ix_(nt, nt)], m[np.ix_(nt, t)]
+    v, u_t = sol.values[list(nt)], sol.reciprocals[list(t)]
+    eye = np.eye(len(nt))
     tau = v * np.linalg.solve(eye - a, 1.0 / v)
     rho = v[:, None] * np.linalg.solve(eye - a, b * u_t)
     core, power, q = b @ u_t, eye, []

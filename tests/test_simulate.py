@@ -482,6 +482,15 @@ def test_exploit_search_refuses_a_profile_from_another_graph(side):
         exploit_search(g, solve(g), fixed_side=side, profile=profile)
 
 
+def test_play_step_refuses_a_profile_from_another_graph():
+    g = build_stopping_variant(5)
+    other = build_stopping_variant(6)  # 12 edges against 10
+    profile = build_profile(solve(other), other)
+    with pytest.raises(ValueError, match="strategy profile does not match the graph"):
+        play_step(g, profile, 0, 1.0, StepRng(seed=1))
+    assert play_step(other, profile, 0, 1.0, StepRng(seed=1))[0] in other.successors[0]
+
+
 @pytest.mark.parametrize("node", [-1, -2, 3])
 def test_out_of_range_nodes_are_refused(node):
     g = fan([2, 4])  # nodes 0..2

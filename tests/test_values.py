@@ -205,7 +205,9 @@ def test_propagation_matrix_shapes():
     prop = build_propagation_matrix(fan)
     assert np.array_equal(prop.matrix[0], [0, 0.5, 0.5])
     assert np.array_equal(prop.matrix[1], [0, 1, 0])
-    assert prop.A.shape == (1, 1) and prop.B.shape == (1, 2)
+    nt, t = fan.nonterminals, fan.terminals
+    assert prop.matrix[np.ix_(nt, nt)].shape == (1, 1)
+    assert prop.matrix[np.ix_(nt, t)].shape == (1, 2)
 
     chain = build_graph(["r", "t"], [("r", "t")], {"t": 1})
     assert build_propagation_matrix(chain).matrix[0, 1] == 0.5
@@ -215,14 +217,15 @@ def test_propagation_partition_structure(terminating_corpus):
     # after permuting nodes to (non-terminal, terminal) order the matrix is
     # [[A, B], [0, I]]
     for entry in terminating_corpus:
-        prop = build_propagation_matrix(entry.graph)
-        order = list(prop.nt) + list(prop.t)
-        m = prop.matrix[np.ix_(order, order)]
-        k = len(prop.nt)
-        assert np.array_equal(m[:k, :k], prop.A), entry.name
-        assert np.array_equal(m[:k, k:], prop.B), entry.name
+        full = build_propagation_matrix(entry.graph).matrix
+        nt, t = entry.graph.nonterminals, entry.graph.terminals
+        order = list(nt) + list(t)
+        m = full[np.ix_(order, order)]
+        k = len(nt)
+        assert np.array_equal(m[:k, :k], full[np.ix_(nt, nt)]), entry.name
+        assert np.array_equal(m[:k, k:], full[np.ix_(nt, t)]), entry.name
         assert np.all(m[k:, :k] == 0), entry.name
-        assert np.array_equal(m[k:, k:], np.eye(len(prop.t))), entry.name
+        assert np.array_equal(m[k:, k:], np.eye(len(t))), entry.name
 
 
 def test_exact_tree_satisfies_eigen_identity_in_rationals():
@@ -251,20 +254,21 @@ def test_propagation_row_sums(corpus):
         prop = build_propagation_matrix(entry.graph)
         sums = prop.matrix.sum(axis=1)
         assert np.all(sums >= 0.5 - 1e-15) and np.all(sums <= 1.0 + 1e-15), entry.name
-        for k in prop.t:
+        for k in entry.graph.terminals:
             assert sums[k] == 1.0
 
 
 def test_transient_block_is_substochastic_power(terminating_corpus):
     # some power of A sends the all-ones vector strictly below 1
     for entry in terminating_corpus:
-        prop = build_propagation_matrix(entry.graph)
-        if not prop.nt:
+        nt = entry.graph.nonterminals
+        if not nt:
             continue
-        vec = np.ones(len(prop.nt))
+        a = build_propagation_matrix(entry.graph).matrix[np.ix_(nt, nt)]
+        vec = np.ones(len(nt))
         ok = False
         for _ in range(entry.graph.num_nodes):
-            vec = prop.A @ vec
+            vec = a @ vec
             if vec.max() < 1.0:
                 ok = True
                 break

@@ -379,46 +379,75 @@ def audit_graphs(corpus):
     return graphs + [("slow_ring", support.slow_ring(32)), ("window:12,3", build_window_game(12, 3))]
 
 
-def test_block_audit_matches_the_full_matrix_power(corpus):
+def count_products(monkeypatch):
+    """Record the audit's edge-list products, one entry each."""
+    products = []
+
+    def counted(self, x):
+        products.append(1)
+        return matvec(self, x)
+
+    matvec = pathwager.values.EdgeList.matvec
+    monkeypatch.setattr(pathwager.values.EdgeList, "matvec", counted)
+    return products
+
+
+def dense_transient_norm(g, steps):
+    """||A^steps 1||_inf for the dense transient block A, by repeated squaring."""
+    nt = list(g.nonterminals)
+    a = build_propagation_matrix(g).matrix[np.ix_(nt, nt)]
+    return float((support.matrix_power(a, steps) @ np.ones(len(nt))).max(initial=0.0))
+
+
+def test_block_audit_matches_the_full_matrix_power(corpus, monkeypatch):
+    negligible = pathwager.verify.RESIDUAL_TOL * 2.0**-52
     for name, g in audit_graphs(corpus):
         sol = solve(g)
         for steps in (0, 1, 400):
+            products = count_products(monkeypatch)
             cert = audit_convergence(sol, steps)
+            monkeypatch.undo()
             ref = support.dense_audit(sol, steps)
             assert [(c.name, c.passed) for c in cert.checks] == \
                 [(c.name, c.passed) for c in ref.checks], (name, steps)
             if sol.spectral is not None:
                 assert cert.residual == ref.residual, (name, steps)
                 continue
-            assert abs(cert.residual - ref.residual) <= 1e-15, (name, steps)
+            # both terms of the dense residual are at most ||A^s 1||_inf, which the audit bounds
+            norm = dense_transient_norm(g, steps)
+            assert cert.residual >= norm, (name, steps)
             for got, want in zip(cert.checks[1:], ref.checks[1:]):
-                assert abs(got.detail["max_entry"] - want.detail["max_entry"]) <= 1e-15, name
+                assert got.detail["max_entry"] == cert.residual >= want.detail["max_entry"], name
+            if len(products) == steps:  # the figure is max(A^s 1) times its rounding allowance
+                terms = max(map(len, g.successors)) + 1
+                allowance = (1 + terms * 2.0**-53 / (1 - terms * 2.0**-53)) ** steps
+                assert abs(cert.residual / allowance - norm) <= 1e-13 * norm, (name, steps)
+            else:
+                assert len(products) < steps and cert.residual <= negligible, (name, steps)
 
 
-def test_exact_stop_is_the_block_loop_run_to_the_end(corpus, monkeypatch):
-    products = []
+def tree_depth(g):
+    """Edges on the longest path of an acyclic graph, whose components are single nodes, sinks first."""
+    depth = [0] * g.num_nodes
+    for (i,) in g.components:
+        depth[i] = max((depth[j] + 1 for j in g.successors[i]), default=0)
+    return max(depth)
 
-    def counted(x, y, out):
-        products.append(1)
-        return pair_product(x, y, out)
 
-    pair_product = pathwager.verify._pair_product
-    monkeypatch.setattr(pathwager.verify, "_pair_product", counted)
+def test_terminating_audit_stops_within_a_tree_depth(corpus, monkeypatch):
+    # a tree's A^k 1 is zero once k reaches its depth, which stops the products there
     for name, g in audit_graphs(corpus):
-        if not classify(g).is_terminating:
+        if not classify(g).is_tree:
             continue
-        prop = build_propagation_matrix(g)
-        a, b = prop.A, prop.B
-        for steps in (0, 1, 2, 3, 5, 64, 400, 401, 1023):
-            products.clear()
-            got = pathwager.verify._block_power(a.copy(), b.copy(), steps)
-            full = support.block_power_to_the_end(a.copy(), b.copy(), steps)
-            for x, y in zip(got, full):
-                assert x.shape == y.shape and x.tobytes() == y.tobytes(), (name, steps)
-            to_the_end = max(steps.bit_length() + bin(steps).count("1") - 2, 0)
-            assert len(products) <= to_the_end, (name, steps)
-            if name.startswith("tree") and steps == 400:
-                assert len(products) < to_the_end, name
+        sol = solve(g)
+        depth = tree_depth(g)
+        for steps in (1, 2, 3, 5, 64, 400, 401, 1023):
+            products = count_products(monkeypatch)
+            cert = audit_convergence(sol, steps)
+            monkeypatch.undo()
+            assert len(products) <= min(steps, depth), (name, steps, len(products), depth)
+            if steps >= depth:
+                assert cert.passed, (name, steps)
 
 
 def test_audit_of_a_graph_without_moves_passes(capsys, tmp_path):
@@ -438,26 +467,57 @@ def test_audit_over_its_memory_budget_fails_without_building_arrays(monkeypatch,
         raise AssertionError("the audit built its arrays over the budget")
 
     assert 4 * 495 ** 2 * 8 <= pathwager.verify.AUDIT_BUDGET_BYTES  # window:12,4 is audited
-    for g in (build_stopping_variant(6), build_window_game(3, 1)):
-        needed = 4 * g.num_nodes ** 2 * 8
-        with monkeypatch.context() as patch:
-            patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", needed)
-            assert audit_convergence(solve(g), 400).passed
-            patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", needed - 1)
-            patch.setattr(pathwager.verify, "_block_power", refuse)
-            patch.setattr(pathwager.verify, "build_propagation_matrix", refuse)
-            cert = certify_graph(g, solve(g))
-            check = cert.checks[0]
-            assert check.name == "power_audit_not_run" and not check.passed
-            assert check.detail == {"bytes_needed": needed, "budget_bytes": needed - 1}
-            assert not cert.passed
-            path = tmp_path / "g.json"
-            path.write_text(serialize_graph(g))
-            assert dispatch(["verify", "--graph", str(path)]) == 2
-            doc = json.loads(capsys.readouterr().out)
-            assert doc["passed"] is False
-            assert doc["checks"][0] == {"name": "power_audit_not_run", "passed": False,
-                                        "bytes_needed": needed, "budget_bytes": needed - 1}
+    g = build_window_game(3, 1)
+    needed = 4 * g.num_nodes ** 2 * 8
+    with monkeypatch.context() as patch:
+        patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", needed)
+        assert audit_convergence(solve(g), 400).passed
+        patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", needed - 1)
+        patch.setattr(pathwager.verify, "_matrix_power", refuse)
+        patch.setattr(pathwager.verify, "build_propagation_matrix", refuse)
+        cert = certify_graph(g, solve(g))
+        check = cert.checks[0]
+        assert check.name == "power_audit_not_run" and not check.passed
+        assert check.detail == {"bytes_needed": needed, "budget_bytes": needed - 1}
+        assert not cert.passed
+        path = tmp_path / "g.json"
+        path.write_text(serialize_graph(g))
+        assert dispatch(["verify", "--graph", str(path)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        assert doc["checks"][0] == {"name": "power_audit_not_run", "passed": False,
+                                    "bytes_needed": needed, "budget_bytes": needed - 1}
+    # the terminating audit holds no N x N array, so no budget applies to it
+    g = build_stopping_variant(6)
+    with monkeypatch.context() as patch:
+        patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", 1)
+        patch.setattr(pathwager.verify, "_matrix_power", refuse)
+        patch.setattr(pathwager.verify, "build_propagation_matrix", refuse)
+        cert = certify_graph(g, solve(g))
+        assert cert.passed
+        assert [c.name for c in cert.checks[:2]] == ["power_limit_absorbing",
+                                                     "transient_block_vanishes"]
+        path.write_text(serialize_graph(g))
+        assert dispatch(["verify", "--graph", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_verify_audits_a_tree_too_large_for_dense_arrays(monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the terminating audit built a dense array")
+
+    doc = support.bench_module("workloads").tree_doc(random.Random(5), 6000)
+    g = parse_graph(json.dumps(doc))
+    assert len(g.nonterminals) == 3098
+    assert 4 * 6000 ** 2 * 8 > pathwager.verify.AUDIT_BUDGET_BYTES
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(pathwager.verify, "_matrix_power", refuse)
+    monkeypatch.setattr(pathwager.verify, "build_propagation_matrix", refuse)
+    assert dispatch(["verify", "--graph", str(path)]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["power_limit_absorbing"]["passed"]
+    assert checks["transient_block_vanishes"]["passed"]
 
 
 def test_bracket_reports_whether_it_closed(terminating_corpus):
