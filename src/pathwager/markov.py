@@ -52,8 +52,6 @@ class FairnessVerdict:
 @dataclass
 class SteadyStateFortunes:
     shape: np.ndarray           # mu_j / v_j, normalized to sum 1
-    c_estimate: Optional[float] = None
-    c_stderr: Optional[float] = None
 
 
 @dataclass
@@ -85,9 +83,6 @@ class MarkovReport:
             doc["invariant_measure"] = dict(zip(labels, self.invariant.tolist()))
         if self.steady_fortunes is not None:
             doc["steady_fortune_shape"] = dict(zip(labels, self.steady_fortunes.shape.tolist()))
-            if self.steady_fortunes.c_estimate is not None:
-                doc["c_estimate"] = self.steady_fortunes.c_estimate
-                doc["c_stderr"] = self.steady_fortunes.c_stderr
         if self.warnings:
             doc["warnings"] = list(self.warnings)
         return doc
@@ -172,7 +167,7 @@ def invariant_measure(solution: GameSolution) -> np.ndarray:
     return mu
 
 
-def steady_state_fortunes(solution: GameSolution, simulation=None) -> SteadyStateFortunes:
+def steady_state_fortunes(solution: GameSolution) -> SteadyStateFortunes:
     """Shape of the long-run discounted fortunes across positions.
 
     The steady-state discounted fortune mass at node j (the occupancy-
@@ -180,26 +175,11 @@ def steady_state_fortunes(solution: GameSolution, simulation=None) -> SteadyStat
     proportional to mu_j / v_j.  Equivalently, the fortune conditioned on
     being at j is proportional to 1/v_j alone, and the occupancy weight
     mu_j supplies the rest.  The proportionality constant has no closed
-    form; when a simulation with discounted checkpoints is supplied it is
-    estimated (with a standard error) by least squares of the per-
-    replication masked fortunes against the shape.
+    form.
     """
     mu = invariant_measure(solution)
     shape = mu / solution.values
-    shape = shape / shape.sum()
-    c_est = c_se = None
-    if simulation is not None:
-        if simulation.config.graph != solution.graph:
-            raise ValueError("simulation does not belong to this graph")
-        if not simulation.checkpoints:
-            raise ValueError("simulation carries no discounted checkpoints")
-        last = max(simulation.checkpoints)
-        nodes, fortunes = simulation.checkpoints[last]
-        # per-replication least-squares regressand: D * shape[X] / |shape|^2
-        w = fortunes * shape[nodes] / float(shape @ shape)
-        c_est = float(w.mean())
-        c_se = float(w.std(ddof=1) / np.sqrt(len(w))) if len(w) > 1 else None
-    return SteadyStateFortunes(shape=shape, c_estimate=c_est, c_stderr=c_se)
+    return SteadyStateFortunes(shape=shape / shape.sum())
 
 
 def analyze(solution: GameSolution, t_max: int = 500) -> MarkovReport:

@@ -20,9 +20,10 @@ per-edge tables, and a vectorised bisection in that row picks the guess and
 the move, the index ``searchsorted(cdf, u, side="right")`` capped at
 degree - 1, as ``play_step`` takes it.  Replications drop out at a
 terminal; strongly connected games instead run a fixed horizon, discounted
-every step.  One Philox call draws a span of steps for all live
-replications, at most ``_DRAW_BUDGET`` blocks, so the span shrinks as the
-live count grows.
+every step.  ``_DRAW_BUDGET`` bounds both the Philox blocks per call and
+the replications per kernel pass: one call draws a span of steps for all
+live replications while they fit, and past it each step runs over slices
+of them, so the working set is O(E + budget) beside O(replications) results.
 
 ``exploit_search`` sweeps best replies over ``GameGraph.degree_blocks``, one
 m x d array pass per out-degree d and sweep, on the profile's entries
@@ -59,13 +60,20 @@ def _philox_block(c0, c1, c2, c3, k0: int, k1: int):
 
     Each 32-bit word is held in uint64, as an array or as a scalar that
     broadcasts, so the 32x32-bit products are exact and no round casts.
+    Array words share one shape; the rounds overwrite uint64 ones (others
+    are copied), each product and its low half in the word they came from.
     """
+    c0, c1, c2, c3 = (np.asarray(c, np.uint64) if np.ndim(c) else np.uint64(c)
+                      for c in (c0, c1, c2, c3))
     for _ in range(10):
-        prod0, prod1 = _PHILOX_M0 * c0, _PHILOX_M1 * c2
-        c0, c1 = (prod1 >> _SHIFT32) ^ c1 ^ np.uint64(k0), prod1 & _LO32
-        c2, c3 = (prod0 >> _SHIFT32) ^ c3 ^ np.uint64(k1), prod0 & _LO32
-        k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
-        k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
+        c0 *= _PHILOX_M0  # in place on arrays; a scalar word is rebound
+        c2 *= _PHILOX_M1
+        c1 ^= (c2 >> _SHIFT32) ^ np.uint64(k0)
+        c3 ^= (c0 >> _SHIFT32) ^ np.uint64(k1)
+        c2 &= _LO32
+        c0 &= _LO32
+        c0, c1, c2, c3 = c1, c2, c3, c0
+        k0, k1 = (k0 + 0x9E3779B9) & 0xFFFFFFFF, (k1 + 0xBB67AE85) & 0xFFFFFFFF
     return c0, c1, c2, c3
 
 
@@ -74,19 +82,22 @@ def step_uniforms(seed: int, reps: np.ndarray, steps) -> tuple[np.ndarray, np.nd
 
     ``steps`` is one step, or an array that broadcasts against ``reps`` (a
     column of steps gives one row per step).  The counter is (step, rep_low,
-    rep_high, 0) and the key is the 64-bit seed, so every (seed,
-    replication, step) triple owns its own block.  Each uniform packs 53
-    bits from two 32-bit output words.
+    rep_high, 0), rep_high a scalar 0 while every id is below 2**32, and the
+    key is the 64-bit seed, so every (seed, replication, step) triple owns
+    its own block.  Each uniform packs 53 bits from two 32-bit output words.
+    ``reps`` and ``steps`` are only read: Philox overwrites words made here.
     """
-    reps = np.asarray(reps, dtype=np.uint64)
-    seed = seed % (1 << 64)
+    reps, steps = np.atleast_1d(np.asarray(reps, dtype=np.uint64)), np.asarray(steps, np.uint64)
+    if steps.ndim:  # every array word takes the block's shape
+        reps, steps = np.broadcast_arrays(reps, steps)
     w0, w1, w2, w3 = _philox_block(
-        np.asarray(steps, dtype=np.uint64) & _LO32, reps & _LO32, reps >> _SHIFT32, np.uint64(0),
-        seed & 0xFFFFFFFF, seed >> 32,
+        steps & _LO32, reps & _LO32, reps >> _SHIFT32 if reps.max(initial=0) > _LO32 else 0, 0,
+        seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF,
     )
-    u1 = (((w0 >> np.uint64(5)) << np.uint64(26)) | (w1 >> np.uint64(6))) / 9007199254740992.0
-    u2 = (((w2 >> np.uint64(5)) << np.uint64(26)) | (w3 >> np.uint64(6))) / 9007199254740992.0
-    return u1, u2
+    for hi, lo in (w0, w1), (w2, w3):  # 53 bits per uniform, packed over hi
+        np.left_shift(np.right_shift(hi, np.uint64(5), out=hi), np.uint64(26), out=hi)
+        hi |= np.right_shift(lo, np.uint64(6), out=lo)
+    return tuple(np.divide(hi, 9007199254740992.0, out=hi.view(np.float64)) for hi in (w0, w2))
 
 
 @dataclass
@@ -275,8 +286,10 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
     max_steps.  Strongly connected games (where none drops out) are discounted
     every step and record checkpoints and per-node visit counts (per
     replication too if the config asks for it); terminating games pass
-    ``discount`` = 1.0, by which multiplying is exact.  A replication that
-    drops out leaves the rest of its column of drawn uniforms unread.
+    ``discount`` = 1.0, by which multiplying is exact.  Past ``_DRAW_BUDGET``
+    live replications each step runs over slices of them of that size, and
+    the absorbed leave once every slice has run.  Within a drawn span, one
+    that drops out leaves the rest of its column of uniforms unread.
     """
     graph, reps = config.graph, config.replications
     horizon = kind is GraphKind.STRONGLY_CONNECTED_APERIODIC
@@ -293,40 +306,46 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
     occupancy = np.zeros((reps, graph.num_nodes), dtype=np.int64) if track else None
     records: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     active = np.arange(reps, dtype=np.int64)
-    rows = slice(None)  # state and fortune whole until a replication drops out
 
     t = 0
     while t < config.max_steps and active.size:
         span = max(1, min(_DRAW_BUDGET // active.size, config.max_steps - t))
-        # one id per block drawn; a scalar step spares Philox's first rounds
-        ids, steps = (active, t) if span == 1 else (
-            np.tile(active, span), np.arange(t, t + span, dtype=np.uint64).repeat(active.size))
-        block = step_uniforms(config.seed, ids, steps)
-        cols = slice(None)  # the live replications' columns of the block
-        for u_guess, u_choice in zip(*(u.reshape(span, -1) for u in block)):
-            nodes = state[rows]
-            first, last = offsets[nodes], offsets[nodes + 1] - 1
-            guess = _bisect(g_cdf, first, last, u_guess[cols], rounds)
-            choice = _bisect(c_cdf, first, last, u_choice[cols], rounds)
-            nxt = dst[choice]
-            fortune[rows] *= discount * np.where(guess == choice, win[nodes], lose[nodes])
-            state[rows] = nxt  # ``nodes`` may view ``state``: it is not read again
+        cols = slice(None)  # the live replications' columns of the drawn span
+        for row in range(span):
+            keep = None  # which live replications stay live, made once one drops out
+            for lo in range(0, active.size, _DRAW_BUDGET):  # one slice unless span is 1
+                ids = active[lo:lo + _DRAW_BUDGET]  # ``lanes`` views state until one drops out
+                lanes = slice(lo, lo + ids.size) if active.size == reps else ids
+                if not row:  # one id per block drawn; a scalar step spares Philox's first rounds
+                    block = step_uniforms(config.seed, *((ids, t) if span == 1 else (
+                        np.tile(ids, span), np.arange(t, t + span).repeat(ids.size))))
+                    u_guess, u_choice = (u.reshape(span, -1) for u in block)
+                nodes = state[lanes]
+                first, last = offsets[nodes], offsets[nodes + 1] - 1
+                guess = _bisect(g_cdf, first, last, u_guess[row][cols], rounds)
+                choice = _bisect(c_cdf, first, last, u_choice[row][cols], rounds)
+                nxt = dst[choice]
+                fortune[lanes] *= discount * np.where(guess == choice, win[nodes], lose[nodes])
+                state[lanes] = nxt  # ``nodes`` may view ``state``: it is not read again
+                if horizon:
+                    visits += np.bincount(nxt, minlength=graph.num_nodes)
+                if occupancy is not None:
+                    occupancy[ids, nxt] += 1
+                absorbed = is_terminal[nxt]
+                if absorbed.any():
+                    done = ids[absorbed]
+                    fortune[done] *= value[nxt[absorbed]]
+                    stop_time[done] = t + 1
+                    terminal_node[done] = nxt[absorbed]
+                    keep = np.ones(active.size, dtype=bool) if keep is None else keep
+                    keep[lo:lo + ids.size] = ~absorbed
             t += 1
-            if horizon:
-                visits += np.bincount(nxt, minlength=graph.num_nodes)
-            if occupancy is not None:
-                occupancy[active, nxt] += 1
             if t in checkpoints:
                 records[t] = (state.copy(), fortune.copy())
-            absorbed = is_terminal[nxt]
-            if absorbed.any():
-                done = active[absorbed]
-                fortune[done] *= value[nxt[absorbed]]
-                stop_time[done] = t
-                terminal_node[done] = nxt[absorbed]
-                keep = ~absorbed
-                rows = active = active[keep]
-                cols = np.flatnonzero(keep) if isinstance(cols, slice) else cols[keep]
+            if keep is not None:
+                active = active[keep]
+                if span > 1:
+                    cols = np.flatnonzero(keep) if isinstance(cols, slice) else cols[keep]
                 if not active.size:
                     break
 

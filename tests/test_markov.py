@@ -252,7 +252,6 @@ def test_steady_state_shape():
     ssf = steady_state_fortunes(sol)
     # fair graph: values are all 1, so the shape is the invariant measure
     assert np.abs(ssf.shape - invariant_measure(sol)).max() <= 1e-12
-    assert ssf.c_estimate is None
 
     g2 = build_window_game(2, 1)
     sol2 = solve(g2)

@@ -218,7 +218,9 @@ def kernel_cases(corpus):
         else:
             cases.append((entry.name, entry.graph, 20, 10**5, None))
     cases += [("window:3,1", build_window_game(3, 1), 7, 100, (9, 45, 50, 100)),
+              ("window:3,1 wide", build_window_game(3, 1), 200, 100, (1, 9, 50, 100)),
               ("window:12,3", build_window_game(12, 3), 5, 77, (12, 13, 77)),
+              ("window:12,3 wide", build_window_game(12, 3), 150, 77, (12, 13, 77)),
               ("window-stop:12", build_stopping_variant(12), 20, 10**5, None),
               ("window-stop:12 wide", build_stopping_variant(12), 300, 10**5, None),
               ("ring censored", support.slow_ring(), 5, 50, None),
@@ -229,15 +231,26 @@ def kernel_cases(corpus):
 @pytest.mark.parametrize("budget", [64, None])
 def test_step_kernel_matches_the_per_step_walk(budget, corpus, monkeypatch):
     # with 64 blocks a span is 64 // live steps: 9 for 7 live replications,
-    # which divides neither horizon; checkpoints fall on and off span edges
+    # which divides neither horizon; checkpoints fall on and off span edges.
+    # The wide cases step more live replications than 64 in slices of 64.
     if budget is not None:
         monkeypatch.setattr(simulate, "_DRAW_BUDGET", budget)
+    blocks = []
+
+    def counted(seed, reps, steps):
+        u_guess, u_choice = step_uniforms(seed, reps, steps)
+        blocks.append(u_guess.size)
+        return u_guess, u_choice
+
+    monkeypatch.setattr(simulate, "step_uniforms", counted)
     for name, g, reps, max_steps, checkpoints in kernel_cases(corpus):
         config, _ = optimal_config(g, replications=reps, seed=23, max_steps=max_steps,
                                    checkpoints=checkpoints,
                                    track_occupancy=checkpoints is not None)
+        blocks.clear()
         result, reference = run_both(config, monkeypatch)
         assert_same_result(result, reference)
+        assert max(blocks) <= simulate._DRAW_BUDGET, name
         if name == "window-stop:12":
             # 20 replications draw spans of 3; some absorb inside the first
             assert (result.stopping_times % 3 != 0).any()
@@ -275,6 +288,41 @@ def test_draw_ahead_memory_is_capped_by_the_budget():
         tracemalloc.stop()
     assert not result.censored[0]
     assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("name, graph, max_steps", [
+    ("window:3,1", build_window_game(3, 1), 3),
+    ("window-stop:12", build_stopping_variant(12), 10**5),
+])
+def test_working_set_is_held_to_the_draw_budget(name, graph, max_steps):
+    # past the budget the kernel steps its live replications in slices of at
+    # most _DRAW_BUDGET, so what it holds beyond the result is the state and
+    # the live ids, 16 B per replication, plus a few budget-sized arrays
+    reps = 200000
+    config, _ = optimal_config(graph, replications=reps, seed=3, max_steps=max_steps)
+    tracemalloc.start()
+    try:
+        result = run(config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.final_fortunes.size == reps
+    assert peak - held <= 24 * reps + 2 * 2**20, (name, peak - held)
+
+
+def test_uniforms_leave_the_caller_arrays_alone():
+    reps = np.array([0, 5, 2**31, 2**32 - 1, 2**40 + 5], dtype=np.uint64)
+    steps = np.array([0, 3, 2**32 + 1, 7, 9], dtype=np.uint64)
+    kept = reps.copy(), steps.copy()
+    for t in (steps, steps[:, None], 11):
+        step_uniforms(21, reps, t)
+        step_uniforms(21, reps[:4], t if np.isscalar(t) else t[:4])
+        assert reps.tobytes() == kept[0].tobytes() and steps.tobytes() == kept[1].tobytes()
+    # ids below 2**32 draw with a scalar high word: the same blocks as
+    # beside an id that needs the high word
+    narrow, wide = step_uniforms(21, reps[:4], steps[:4]), step_uniforms(21, reps, steps)
+    for u, v in zip(narrow, wide):
+        assert u.tobytes() == v[:4].tobytes()
 
 
 @pytest.mark.parametrize("counter, key, words", [
@@ -374,15 +422,17 @@ def test_steady_fortune_shape_from_simulation():
     config, sol = optimal_config(g, replications=100000, max_steps=60, seed=29,
                                  checkpoints=(60,))
     result = run(config)
-    ssf = steady_state_fortunes(sol, result)
-    assert ssf.c_estimate is not None and ssf.c_stderr is not None
+    shape = steady_state_fortunes(sol).shape
     nodes, fortunes = result.checkpoints[60]
+    # the constant c of D * 1{X = j} ~ c * shape_j, by least squares of the
+    # per-replication masked fortunes against the shape
+    c = float((fortunes * shape[nodes] / float(shape @ shape)).mean())
     # occupancy-masked fortune means are proportional to the shape: each
     # per-node mean of D * 1{X = j} matches c * shape_j within 3 SE
     for j in range(g.num_nodes):
         masked = fortunes * (nodes == j)
         se = masked.std(ddof=1) / len(masked) ** 0.5
-        assert abs(masked.mean() - ssf.c_estimate * ssf.shape[j]) <= 3 * se + 1e-12, j
+        assert abs(masked.mean() - c * shape[j]) <= 3 * se + 1e-12, j
     # and the fortune conditioned on the position is flat against 1/v
     cond = np.array([fortunes[nodes == j].mean() * sol.values[j] for j in range(g.num_nodes)])
     assert np.abs(cond - cond.mean()).max() <= 0.02 * cond.mean()
