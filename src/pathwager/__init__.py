@@ -54,7 +54,6 @@ from .strategy import (
 )
 from .values import (
     ConvergenceError,
-    EdgeList,
     GameSolution,
     PropagationMatrix,
     SpectralData,

@@ -122,8 +122,24 @@ class GameGraph:
         """
         offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
         np.cumsum([len(succ) for succ in self.successors], out=offsets[1:])
-        offsets.flags.writeable = False
-        return offsets
+        return _read_only(offsets)
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """Head of each edge, the successors flattened; cached and read-only."""
+        count = int(self.edge_offsets[-1])
+        return _read_only(np.fromiter(itertools.chain.from_iterable(self.successors), np.int64, count))
+
+    @cached_property
+    def sources(self) -> np.ndarray:
+        """Tail of each edge, its row of the table; cached and read-only."""
+        return _read_only(np.repeat(np.arange(self.num_nodes), np.diff(self.edge_offsets)))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """M's entry on each edge, 1/2 at out-degree 1 and 1/d at d; cached and read-only."""
+        degree = np.diff(self.edge_offsets)[self.sources]
+        return _read_only(np.where(degree == 1, 0.5, 1.0 / degree))
 
     @cached_property
     def degree_blocks(self) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -137,17 +153,14 @@ class GameGraph:
         by_degree: dict[int, list[int]] = {}
         for i in self.nonterminals:
             by_degree.setdefault(len(self.successors[i]), []).append(i)
-        offsets = self.edge_offsets
-        return tuple(
-            (d, np.array(nodes), np.array([self.successors[i] for i in nodes]),
-             offsets[nodes][:, None] + np.arange(d))
-            for d, nodes in sorted(by_degree.items())
-        )
+        blocks = []
+        for d, nodes in sorted(by_degree.items()):
+            edges = self.edge_offsets[nodes][:, None] + np.arange(d)
+            blocks.append((d, np.array(nodes), self.targets[edges], edges))
+        return tuple(blocks)
 
     def edges(self) -> Iterable[tuple[int, int]]:
-        for i, succ in enumerate(self.successors):
-            for j in succ:
-                yield (i, j)
+        return zip(self.sources.tolist(), self.targets.tolist())
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -179,6 +192,11 @@ class GameGraph:
                 self.edge_labels.get((i, j)) for i, j in self.edges()
             ]
         return doc
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def rational_json(frac: Fraction):
@@ -431,10 +449,9 @@ def _classify(g: GameGraph) -> GraphClass:
         # acyclic, with N - 1 edges into N - 1 distinct nodes: a tree rooted
         # at the one node nothing enters, a source of the condensation
         root = components[-1][0]
-        targets = {j for succ in g.successors for j in succ}
         if (
             not g.is_terminal(root)
-            and len(targets) == sum(map(len, g.successors)) == g.num_nodes - 1
+            and len(set(g.targets.tolist())) == len(g.targets) == g.num_nodes - 1
             and not any(map(g.is_cyclic, components))
         ):
             if all(g.is_terminal(j) for j in g.successors[root]):

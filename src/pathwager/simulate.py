@@ -376,17 +376,15 @@ def _edge_tables(graph: GameGraph, profile: StrategyProfile):
     elsewhere).
     """
     n, offsets = graph.num_nodes, graph.edge_offsets
-    edge_count = offsets[-1]
-    dst, g_cdf, c_cdf = np.empty(edge_count, np.int64), np.empty(edge_count), np.empty(edge_count)
+    g_cdf, c_cdf = np.empty(offsets[-1]), np.empty(offsets[-1])
     win, lose, value = np.ones(n), np.ones(n), np.zeros(n)
-    for d, nodes, succ, edges in graph.degree_blocks:
-        dst[edges] = succ
+    for d, nodes, _, edges in graph.degree_blocks:
         g_cdf[edges] = np.cumsum(profile.guesser[edges], axis=1)
         c_cdf[edges] = np.cumsum(profile.chooser[edges], axis=1)
         win[nodes], lose[nodes] = _multipliers(d, profile.wagers[nodes])
     for k in graph.terminals:
         value[k] = graph.values[k]
-    return offsets, dst, g_cdf, c_cdf, win, lose, value
+    return offsets, graph.targets, g_cdf, c_cdf, win, lose, value
 
 
 def _bisect(cdf: np.ndarray, first: np.ndarray, last: np.ndarray, u: np.ndarray, rounds: int):

@@ -7,7 +7,8 @@ reciprocal values u_i = 1/v_i, which propagate linearly:
     u_i = u_j / 2                      out-degree 1, edge i -> j
     u_i = (1/n_i) * sum_{j: i->j} u_j  out-degree n_i >= 2
 
-Each solve holds the rule once, as an edge list.  Terminating graphs pin u
+Every solve reads the rule from the graph's edge table, whose weights are
+the entries of M (``GameGraph.weights``).  Terminating graphs pin u
 at the terminals and back-substitute over the strongly connected components,
 sinks first, solving densely only on cyclic ones (and refusing one whose
 dense solve would pass ``DENSE_BUDGET_BYTES``); the same walk solves
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,37 +53,16 @@ class ConvergenceError(RuntimeError):
     """An iterative Perron solve failed to converge within its budget."""
 
 
-@dataclass(frozen=True)
-class EdgeList:
-    """Propagation operator M as edges src[k] -> dst[k] of weight M[src[k], dst[k]].
+def _matvec(graph: GameGraph, x: np.ndarray) -> np.ndarray:
+    """M x over the graph's edge table; a terminal row, which has no edges, is 0."""
+    return np.bincount(graph.sources, weights=graph.weights * x[graph.targets],
+                       minlength=graph.num_nodes)
 
-    Edges are grouped by source in node order; every terminal node gets a
-    self-loop of weight 1 in place of its empty successor list.
-    """
 
-    src: np.ndarray
-    dst: np.ndarray
-    weight: np.ndarray
-    size: int
-
-    @classmethod
-    def of(cls, graph: GameGraph) -> EdgeList:
-        n = graph.num_nodes
-        rows = [succ or (i,) for i, succ in enumerate(graph.successors)]
-        deg = np.array([len(succ) for succ in graph.successors])
-        counts = np.maximum(deg, 1)
-        src = np.repeat(np.arange(n), counts)
-        dst = np.fromiter((j for row in rows for j in row), dtype=np.int64, count=int(counts.sum()))
-        node_weight = np.where(deg == 1, 0.5, 1.0 / counts)
-        return cls(src=src, dst=dst, weight=node_weight[src], size=n)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """M x."""
-        return np.bincount(self.src, weights=self.weight * x[self.dst], minlength=self.size)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """M^T y."""
-        return np.bincount(self.dst, weights=self.weight * y[self.src], minlength=self.size)
+def _rmatvec(graph: GameGraph, y: np.ndarray) -> np.ndarray:
+    """M^T y over the graph's edge table."""
+    return np.bincount(graph.targets, weights=graph.weights * y[graph.sources],
+                       minlength=graph.num_nodes)
 
 
 @dataclass
@@ -108,13 +89,12 @@ class SpectralData:
 
 @dataclass
 class GameSolution:
-    """Values and reciprocal values of a solved graph, with the operator used."""
+    """Values and reciprocal values of a solved graph."""
 
     graph: GameGraph
     graph_class: GraphClass
     values: np.ndarray
     reciprocals: np.ndarray
-    edges: EdgeList
     spectral: Optional[SpectralData] = None
     exact_values: Optional[list[Fraction]] = None
 
@@ -157,9 +137,10 @@ def build_propagation_matrix(graph: GameGraph) -> PropagationMatrix:
     cls = classify(graph)
     if cls.kind is GraphKind.UNSUPPORTED:
         raise UnsupportedGraphError(cls.reason)
-    edges = EdgeList.of(graph)
     m = np.zeros((graph.num_nodes, graph.num_nodes))
-    m[edges.src, edges.dst] = edges.weight
+    m[graph.sources, graph.targets] = graph.weights
+    terminals = list(graph.terminals)
+    m[terminals, terminals] = 1.0
     return PropagationMatrix(matrix=m)
 
 
@@ -192,16 +173,15 @@ def _solve_values(graph: GameGraph, cls: GraphClass, exact: bool) -> GameSolutio
     u = [1 / terminal[i] if i in terminal else 0 for i in range(graph.num_nodes)]
     _solve_by_components(graph, u)
 
-    edges = EdgeList.of(graph)
     if exact:
         exact_vals = [Fraction(1) / ui for ui in u]
         values = np.array([float(v) for v in exact_vals])
         recips = np.array([float(ui) for ui in u])
-        return GameSolution(graph, cls, values, recips, edges, exact_values=exact_vals)
+        return GameSolution(graph, cls, values, recips, exact_values=exact_vals)
     recips = np.array(u, dtype=float)
     if np.any(recips <= 0):
         raise ConvergenceError("computed reciprocal values are not strictly positive")
-    return GameSolution(graph, cls, 1.0 / recips, recips, edges)
+    return GameSolution(graph, cls, 1.0 / recips, recips)
 
 
 def _check_exact(graph: GameGraph) -> None:
@@ -245,16 +225,19 @@ def _component_block(graph: GameGraph, comp: Sequence[int], z, inflow: np.ndarra
             f"a cyclic component of {len(comp)} nodes needs {needed} bytes for its dense solve, "
             f"over the budget of {DENSE_BUDGET_BYTES} bytes"
         )
-    pos = {i: k for k, i in enumerate(comp)}
+    nodes = np.array(comp)
+    first = graph.edge_offsets[nodes]
+    count = graph.edge_offsets[nodes + 1] - first
+    row = np.repeat(np.arange(len(comp)), count)
+    edges = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(row))
+    target, weight = graph.targets[edges], graph.weights[edges]
+    col = np.searchsorted(nodes, target)  # components are sorted
+    inside = nodes[np.minimum(col, len(comp) - 1)] == target
     block = np.zeros((len(comp), len(comp)))
-    for k, i in enumerate(comp):
-        succ = graph.successors[i]
-        weight = 0.5 if len(succ) == 1 else 1.0 / len(succ)
-        for j in succ:
-            if j in pos:
-                block[k, pos[j]] = weight
-            else:
-                inflow[k] += weight * z[j]
+    block[row[inside], col[inside]] = weight[inside]
+    outside = ~inside
+    for k, j, w in zip(row[outside].tolist(), target[outside].tolist(), weight[outside].tolist()):
+        inflow[k] += w * z[j]
     return block
 
 
@@ -339,7 +322,8 @@ def _cycle_heads(graph: GameGraph) -> tuple[list[int], list[int]]:
     return sorted(heads), order
 
 
-def _renewal_solve(edges: EdgeList, f: int, order: Sequence[int]) -> tuple[float, np.ndarray, np.ndarray]:
+def _renewal_solve(offsets: np.ndarray, targets: np.ndarray, weights: np.ndarray, f: int,
+                   order: Sequence[int]) -> tuple[float, np.ndarray, np.ndarray]:
     """Perron triple (r, x, y) when every cycle passes through f; ``order`` lists the rest, R, sinks first.
 
     With x_f = 1, x_R = X(r) = (rI - M_RR)^{-1} M_Rf and r solves the renewal
@@ -351,10 +335,10 @@ def _renewal_solve(edges: EdgeList, f: int, order: Sequence[int]) -> tuple[float
     before the first step; r then bisects [1/2, 1] in log r until X is finite
     with s >= 1.  A sources-first walk pushes y_R.
     """
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(edges.size)]
-    for i, j, w in zip(edges.src.tolist(), edges.dst.tolist(), edges.weight.tolist()):
-        rows[i].append((j, w))
-    x, dx, y = [0.0] * edges.size, [0.0] * edges.size, [0.0] * edges.size
+    bounds, targets, weights = offsets.tolist(), targets.tolist(), weights.tolist()
+    rows = [list(zip(targets[a:b], weights[a:b])) for a, b in zip(bounds, bounds[1:])]
+    n = len(rows)
+    x, dx, y = [0.0] * n, [0.0] * n, [0.0] * n
     x[f] = y[f] = 1.0
     lo = r = 0.5
     hi, searching = 1.0, True  # [lo, hi] holds the root while searching
@@ -402,13 +386,13 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
         raise UnsupportedGraphError(
             f"solve_strongly_connected requires a strongly connected aperiodic graph, got {cls}"
         )
-    edges = EdgeList.of(graph)
     heads, order = _cycle_heads(graph)
     if len(heads) == 1:
-        r, x, y = _renewal_solve(edges, heads[0], [i for i in order if i != heads[0]])
+        r, x, y = _renewal_solve(graph.edge_offsets, graph.targets, graph.weights, heads[0],
+                                 [i for i in order if i != heads[0]])
     else:
-        r, x = _power_iteration(edges.matvec, graph.num_nodes)
-        r_left, y = _power_iteration(edges.rmatvec, graph.num_nodes)
+        r, x = _power_iteration(partial(_matvec, graph), graph.num_nodes)
+        r_left, y = _power_iteration(partial(_rmatvec, graph), graph.num_nodes)
         r = 0.5 * (r + r_left)
     # cap at the row-sum bound r <= max_i sum_j M_ij = 1 (Meyer, Matrix Analysis,
     # 8.1): rounding can put the estimates a few ulps above it
@@ -417,7 +401,7 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
     if np.any(u <= 0) or np.any(x <= 0) or np.any(y <= 0):
         raise ConvergenceError("Perron vectors are not strictly positive")
     spectral = SpectralData(radius=radius, right_vec=x, left_vec=y)
-    return GameSolution(graph, cls, 1.0 / u, u, edges, spectral=spectral)
+    return GameSolution(graph, cls, 1.0 / u, u, spectral=spectral)
 
 
 def solve(graph: GameGraph, exact: bool = False) -> GameSolution:
@@ -438,8 +422,9 @@ def _truncation_series(solution: GameSolution, steps: int) -> TruncationSeries:
     """Reciprocal values of the s-step games for s = 0..steps.
 
     Terminating graphs iterate u_{s+1} = M u_s from the leaf vector (ones on
-    non-terminal nodes, pre-assigned reciprocals on terminals); strongly
-    connected graphs iterate the discount-scaled form (1/r) M from all-ones.
+    non-terminal nodes, pre-assigned reciprocals on terminals), where M's
+    terminal rows are the identity's; strongly connected graphs iterate the
+    discount-scaled form (1/r) M from all-ones.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -449,9 +434,10 @@ def _truncation_series(solution: GameSolution, steps: int) -> TruncationSeries:
     for i in graph.terminals:
         u[i] = 1.0 / graph.values[i]
     scale = 1.0 if solution.spectral is None else 1.0 / solution.spectral.radius
+    terminal = np.diff(graph.edge_offsets) == 0
     vectors = [u]
     for _ in range(steps):
-        u = scale * solution.edges.matvec(u)  # a new array each step
+        u = np.where(terminal, u, scale * _matvec(graph, u))  # a new array each step
         vectors.append(u)
     residuals = np.abs(np.array(vectors) - limit).max(axis=1)
     return TruncationSeries(steps=steps, vectors=vectors, residuals=residuals)

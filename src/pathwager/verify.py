@@ -10,7 +10,8 @@ included.  Small terminating games are additionally bracketed by
 depth-limited backward induction that is entirely independent of the
 linear-algebra solvers, and ``audit_convergence`` audits the limit theory by
 raising the propagation matrix to a high power: on a terminating graph it
-bounds the power of the transient block with edge-list products, stopped
+bounds the power of the transient block with products over the graph's
+edge table, stopped
 once the bound is negligible, and on a strongly connected graph it squares
 the dense matrix.
 """
@@ -28,9 +29,9 @@ from .simulate import _move_payoffs, exploit_search
 from .strategy import build_profile
 from .values import (
     DENSE_BUDGET_BYTES as AUDIT_BUDGET_BYTES,
-    EdgeList,
     GameSolution,
     UnsupportedGraphError,
+    _matvec,
     build_propagation_matrix,
 )
 
@@ -152,8 +153,8 @@ def audit_convergence(solution: GameSolution, steps: int = 400) -> Certificate:
     Terminating: M^s approaches [[0, (I-A)^{-1} B], [0, I]], and both of its
     nonzero blocks are off the limit by at most ||A^s||_inf (the absorption
     probabilities (I-A)^{-1} B lie in [0, 1] and A^s (I-A)^{-1} B is the
-    gap), which ``_transient_power_bound`` bounds from above with edge-list
-    products, holding no N x N array.  Strongly connected: r^{-s} M^s
+    gap), which ``_transient_power_bound`` bounds from above with products
+    over the edge table, holding no N x N array.  Strongly connected: r^{-s} M^s
     approaches the positive rank-one matrix x y^T / (x . y); M^s is formed
     by repeated squaring, and a graph whose arrays would exceed
     ``AUDIT_BUDGET_BYTES`` gets a failed ``power_audit_not_run`` check
@@ -197,28 +198,26 @@ def audit_convergence(solution: GameSolution, steps: int = 400) -> Certificate:
 def _transient_power_bound(solution: GameSolution, steps: int) -> float:
     """An upper bound on ||A^steps||_inf for the transient block A of M.
 
-    A >= 0, so ||A^k||_inf = max(A^k 1), and k products v <- A v over the
-    edges between non-terminals give it.  Each row of a product sums at most
-    d_max terms, each with a rounded weight, so the computed v is at least
-    the exact A v / (1 + gamma), gamma = (d_max + 1) u / (1 - (d_max + 1) u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and
-    rho_k = max(v_k) (1 + gamma)^k bounds ||A^k||_inf.  With s = q k + r,
+    A >= 0, so ||A^k||_inf = max(A^k 1), and k products v <- M v over the
+    edge table from v = 1 on the non-terminals give it: a terminal row has no
+    edges, so v stays 0 there and the moves into terminals add 0.  Each row
+    of a product sums at most d_max terms, each with a rounded weight, so the
+    computed v is at least the exact A v / (1 + gamma), gamma = (d_max + 1) u
+    / (1 - (d_max + 1) u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), and rho_k = max(v_k) (1 + gamma)^k bounds
+    ||A^k||_inf.  With s = q k + r,
     ||A^s|| <= rho_k^q rho_r; the loop stops at the first k where that is
     below ``_NEGLIGIBLE``, which also stops a tree once A^k 1 = 0, and
     otherwise reports rho_s.
     """
-    graph, edges = solution.graph, solution.edges
-    transient = np.zeros(edges.size, dtype=bool)
-    transient[list(graph.nonterminals)] = True
-    keep = transient[edges.dst]  # drops the terminal self-loops and the moves into terminals
-    block = EdgeList(src=edges.src[keep], dst=edges.dst[keep], weight=edges.weight[keep],
-                     size=edges.size)
+    graph = solution.graph
+    transient = np.diff(graph.edge_offsets) > 0
     terms = max(map(len, graph.successors)) + 1
     growth = 1.0 + terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
     v = transient.astype(float)
     rho = [float(transient.any())]
     for k in range(1, steps + 1):
-        v = block.matvec(v)
+        v = _matvec(graph, v)
         rho.append(float(v.max()) * growth**k)
         q, r = divmod(steps, k)
         bound = rho[k] ** q * rho[r]
@@ -300,7 +299,7 @@ def certify_graph(
     elif solution.graph_class.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
         # eigen-equation residual doubles as the optimality certificate here
         u = solution.reciprocals
-        eig_res = float(np.abs(solution.edges.matvec(u) - solution.spectral.radius * u).max())
+        eig_res = float(np.abs(_matvec(graph, u) - solution.spectral.radius * u).max())
         checks.append(
             CheckResult(
                 "reciprocal_values_solve_eigen_equation",

@@ -647,14 +647,16 @@ def chooser_transition_matrix(solution, graph: GameGraph) -> np.ndarray:
     1/r so P is row-stochastic.
     """
     p = np.zeros((graph.num_nodes, graph.num_nodes))
-    p[solution.edges.src, solution.edges.dst] = _edge_probabilities(solution)
+    p[graph.sources, graph.targets] = _edge_probabilities(solution)
+    t = list(graph.terminals)
+    p[t, t] = solution.values[t] * solution.reciprocals[t]  # v_k M_kk u_k with M_kk = 1
     return p
 
 
 def _edge_probabilities(solution) -> np.ndarray:
-    """P along each edge of ``solution.edges``: v_src w u_dst, divided by r if there is one."""
-    edges = solution.edges
-    p = solution.values[edges.src] * edges.weight * solution.reciprocals[edges.dst]
+    """P along each edge of the graph's edge table: v_src w u_dst, divided by r if there is one."""
+    g = solution.graph
+    p = solution.values[g.sources] * g.weights * solution.reciprocals[g.targets]
     return p if solution.spectral is None else p / solution.spectral.radius
 
 

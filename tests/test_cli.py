@@ -540,7 +540,7 @@ def test_an_oversized_cyclic_component_is_an_input_error(tmp_path, capsys):
 
 def test_the_public_surface_is_pinned():
     assert pathwager.__all__ == [
-        "ConvergenceError", "EdgeList", "ExploitReport", "FairnessVerdict", "GameGraph",
+        "ConvergenceError", "ExploitReport", "FairnessVerdict", "GameGraph",
         "GameSolution", "Gn1Reference", "GraphClass", "GraphError", "GraphKind", "MarkovReport",
         "OracleSpec", "PropagationMatrix", "SimulationConfig", "SimulationResult", "SpectralData",
         "StepRng", "StrategyError", "StrategyProfile", "TruncationSeries",

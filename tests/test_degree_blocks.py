@@ -100,6 +100,11 @@ def test_degree_blocks_partition_the_nonterminals():
         assert degrees == sorted(set(degrees)), name
         dst = np.array([j for _, j in g.edges()], dtype=np.int64)
         assert g.edge_offsets.tolist() == [0, *itertools.accumulate(map(len, g.successors))]
+        assert g.targets.dtype == g.sources.dtype == np.int64, name
+        assert g.targets.tolist() == dst.tolist(), name
+        assert g.sources.tolist() == [i for i, _ in g.edges()], name
+        degree = np.diff(g.edge_offsets)[g.sources]
+        assert g.weights.tolist() == [0.5 if d == 1 else 1 / d for d in degree.tolist()], name
         seen, seen_edges = [], []
         for d, nodes, succ, edges in g.degree_blocks:
             assert nodes.dtype == succ.dtype == edges.dtype == np.int64, name
@@ -107,6 +112,7 @@ def test_degree_blocks_partition_the_nonterminals():
             assert list(nodes) == sorted(nodes), name
             assert [tuple(row) for row in succ.tolist()] == [g.successors[i] for i in nodes]
             assert np.array_equal(dst[edges], succ), name
+            assert np.array_equal(g.targets[edges], succ), name
             seen += nodes.tolist()
             seen_edges += edges.ravel().tolist()
         assert sorted(seen) == list(g.nonterminals), name
@@ -116,8 +122,9 @@ def test_degree_blocks_partition_the_nonterminals():
 
 def test_edge_offsets_are_read_only():
     g = _mixed_dag(12, 1)
-    with pytest.raises(ValueError):
-        g.edge_offsets[1] = 0
+    for table in (g.edge_offsets, g.targets, g.sources, g.weights):
+        with pytest.raises(ValueError):
+            table[1] = 0
 
 
 def test_blocked_profiles_match_the_loops():

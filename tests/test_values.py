@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -372,13 +373,13 @@ def test_slow_mixing_one_lie_windows_solve_to_rounding(n):
     start = time.perf_counter()
     sol = solve_strongly_connected(g)
     elapsed = time.perf_counter() - start
-    e, r = sol.edges, sol.spectral.radius
+    r = sol.spectral.radius
     x, y = sol.spectral.right_vec, sol.spectral.left_vec
     lo, hi = _exact_ratio_bracket(g, x)
     assert _renewal_sign(n, 2 * lo) <= 0 <= _renewal_sign(n, 2 * hi)
     assert hi - lo <= 1e-15
-    assert np.abs(e.matvec(x) - r * x).max() <= 1e-15
-    assert np.abs(e.rmatvec(y) - r * y).max() <= 1e-15
+    assert np.abs(values._matvec(g, x) - r * x).max() <= 1e-15
+    assert np.abs(values._rmatvec(g, y) - r * y).max() <= 1e-15
     assert elapsed < 0.1
 
 
@@ -413,9 +414,9 @@ def test_renewal_path_matches_power_iteration(sc_corpus):
         if len(heads) != 1:
             continue
         renewal += 1
-        e = values.EdgeList.of(entry.graph)
-        r, x = values._power_iteration(e.matvec, e.size)
-        r_left, y = values._power_iteration(e.rmatvec, e.size)
+        g = entry.graph
+        r, x = values._power_iteration(partial(values._matvec, g), g.num_nodes)
+        r_left, y = values._power_iteration(partial(values._rmatvec, g), g.num_nodes)
         u = x * (y.sum() / (x @ y))
         sol = solve_strongly_connected(entry.graph)
         assert abs(sol.spectral.radius - min(0.5 * (r + r_left), 1.0)) <= 1e-12, entry.name
@@ -433,19 +434,19 @@ def test_renewal_solve_converges_on_a_deep_ladder(k):
     g = build_graph(labels, sorted(edges), {})
     assert values._cycle_heads(g)[0] == [0]
     sol = solve_strongly_connected(g)
-    e, r, x = sol.edges, sol.spectral.radius, sol.spectral.right_vec
+    r, x = sol.spectral.radius, sol.spectral.right_vec
     lo, hi = _exact_ratio_bracket(g, x)
     assert lo <= r <= hi
     assert hi - lo <= 1e-12
-    assert np.abs(e.matvec(x) - r * x).max() <= 1e-15
+    assert np.abs(values._matvec(g, x) - r * x).max() <= 1e-15
 
 
 def test_renewal_solve_of_a_stochastic_operator():
     # no game graph with one feedback vertex is stochastic: the last node
     # before f has out-degree 1 and row sum 1/2; so weights are set by hand
-    e = values.EdgeList(src=np.array([0, 0, 0, 1, 1, 2]), dst=np.array([0, 1, 2, 0, 2, 0]),
-                        weight=np.array([1 / 3, 1 / 3, 1 / 3, 0.5, 0.5, 1.0]), size=3)
-    r, x, y = values._renewal_solve(e, 0, [2, 1])
+    offsets, targets = np.array([0, 3, 5, 6]), np.array([0, 1, 2, 0, 2, 0])
+    weights = np.array([1 / 3, 1 / 3, 1 / 3, 0.5, 0.5, 1.0])
+    r, x, y = values._renewal_solve(offsets, targets, weights, 0, [2, 1])
     u = x * (y.sum() / (x @ y))
     assert r == 1.0
     assert np.abs(u - 1.0).max() <= 1e-15
@@ -478,8 +479,8 @@ def _per_product_power_iteration(product, n):
 
 @pytest.mark.parametrize("spec", ["window:60,1", "window:16,4"])
 def test_blocked_power_iteration_costs_few_extra_products(spec):
-    edges = values.EdgeList.of(parse_oracle_spec(spec).build())
-    for product in (edges.matvec, edges.rmatvec):
+    g = parse_oracle_spec(spec).build()
+    for product in (partial(values._matvec, g), partial(values._rmatvec, g)):
         counts = []
         for iterate in (values._power_iteration, _per_product_power_iteration):
             count = [0]
@@ -488,7 +489,7 @@ def test_blocked_power_iteration_costs_few_extra_products(spec):
                 count[0] += 1
                 return product(v)
 
-            iterate(counted, edges.size)
+            iterate(counted, g.num_nodes)
             counts.append(count[0])
         blocked, per_product = counts
         assert blocked <= 1.05 * per_product, (spec, blocked, per_product)
