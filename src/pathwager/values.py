@@ -241,8 +241,8 @@ def _component_block(graph: GameGraph, comp: Sequence[int], z, inflow: np.ndarra
     return block
 
 
-def _power_iteration(product, n: int) -> tuple[float, np.ndarray]:
-    """Perron pair of a primitive nonnegative operator given by its product.
+def _power_iteration(product, n: int) -> np.ndarray:
+    """Perron vector of a primitive nonnegative operator given by its product.
 
     Deterministic all-ones start.  The product is applied ``_POWER_BLOCK``
     (k) times in a row with no normalization or test in between; near the
@@ -257,8 +257,7 @@ def _power_iteration(product, n: int) -> tuple[float, np.ndarray]:
     """
     x = np.ones(n) / n
     y = product(x)
-    r = float(x @ y / (x @ x))
-    best = (np.inf, r, x)
+    best = (np.inf, x)
     since_improvement = 0  # products since the best residual last improved
     for _ in range(_MAX_POWER_ITERATIONS // _POWER_BLOCK):
         prev = y
@@ -274,7 +273,7 @@ def _power_iteration(product, n: int) -> tuple[float, np.ndarray]:
         drift = float(np.abs(x - x_prev).sum())
         residual = float(np.abs(y - r * x).max())
         if residual < best[0]:
-            best = (residual, r, x)
+            best = (residual, x)
             since_improvement = 0
         else:
             since_improvement += _POWER_BLOCK
@@ -283,8 +282,7 @@ def _power_iteration(product, n: int) -> tuple[float, np.ndarray]:
             and drift <= _EIGENVECTOR_TOL
         )
         if settled and (residual <= _RESIDUAL_TOL or since_improvement >= _STAGNATION_WINDOW):
-            _, r_best, x_best = best
-            return r_best, x_best
+            return best[1]
     raise ConvergenceError(
         f"power iteration did not converge in {_MAX_POWER_ITERATIONS} products; "
         f"best residual {best[0]:.3e}"
@@ -377,7 +375,8 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
     The maximal eigenvalue r of M (in [1/2, 1]) is the optimal discount
     factor, with right and left eigenvectors x and y.  ``_renewal_solve`` finds
     them when one depth-first search shows a node on every cycle (the one-lie
-    windows); power iteration on M and M^T does otherwise.  The reciprocal
+    windows); power iteration on M and M^T does otherwise, with r the
+    two-sided Rayleigh quotient y^T M x / y^T x.  The reciprocal
     values u = x * sum(y) / (x . y) are the limit of the depth-limited values
     r^{-s} M^s 1, with no rescaling.
     """
@@ -391,9 +390,11 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
         r, x, y = _renewal_solve(graph.edge_offsets, graph.targets, graph.weights, heads[0],
                                  [i for i in order if i != heads[0]])
     else:
-        r, x = _power_iteration(partial(_matvec, graph), graph.num_nodes)
-        r_left, y = _power_iteration(partial(_rmatvec, graph), graph.num_nodes)
-        r = 0.5 * (r + r_left)
+        x = _power_iteration(partial(_matvec, graph), graph.num_nodes)
+        y = _power_iteration(partial(_rmatvec, graph), graph.num_nodes)
+        mx = _matvec(graph, x)
+        r = float(y @ mx / (y @ x))
+        r += float(y @ (mx - r * x) / (y @ x))  # the same quotient, less its rounding error
     # cap at the row-sum bound r <= max_i sum_j M_ij = 1 (Meyer, Matrix Analysis,
     # 8.1): rounding can put the estimates a few ulps above it
     radius = min(r, 1.0)

@@ -31,6 +31,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -853,6 +854,25 @@ def stepwise_walk(config, kind: GraphKind, discount: float, checkpoints: set):
             "fortune statistics exclude them"
         )
     return result
+
+
+def count_bracket(graph: GameGraph, steps: int = 400) -> tuple[Fraction, Fraction]:
+    """Exact bracket on r for a strongly connected graph whose out-degrees are at most 2.
+
+    Every edge then weighs 1/2, so M = T / 2 for the 0/1 transition matrix T,
+    and c_s = T^s 1 counts the walks of length s from each node.  The counts
+    are kept in Python integers over ``successors``, with no call into the
+    solver.  c_s > 0, so min_i c_{s+1,i} / c_{s,i} <= 2 r <= max_i c_{s+1,i} /
+    c_{s,i} (Collatz-Wielandt; Meyer, Matrix Analysis, 8.3).
+    """
+    if max(map(len, graph.successors)) > 2:
+        raise ValueError("the count bracket needs out-degrees of at most 2")
+    counts = [1] * graph.num_nodes
+    for _ in range(steps):
+        counts = [sum(counts[j] for j in succ) for succ in graph.successors]
+    ratios = [Fraction(sum(counts[j] for j in succ), 2 * c)
+              for succ, c in zip(graph.successors, counts)]
+    return min(ratios), max(ratios)
 
 
 def slow_ring(k: int = 32):

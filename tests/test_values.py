@@ -415,13 +415,25 @@ def test_renewal_path_matches_power_iteration(sc_corpus):
             continue
         renewal += 1
         g = entry.graph
-        r, x = values._power_iteration(partial(values._matvec, g), g.num_nodes)
-        r_left, y = values._power_iteration(partial(values._rmatvec, g), g.num_nodes)
+        x = values._power_iteration(partial(values._matvec, g), g.num_nodes)
+        y = values._power_iteration(partial(values._rmatvec, g), g.num_nodes)
+        r = y @ values._matvec(g, x) / (y @ x)
         u = x * (y.sum() / (x @ y))
         sol = solve_strongly_connected(entry.graph)
-        assert abs(sol.spectral.radius - min(0.5 * (r + r_left), 1.0)) <= 1e-12, entry.name
+        assert abs(sol.spectral.radius - min(r, 1.0)) <= 1e-12, entry.name
         assert np.abs(sol.reciprocals / u - 1).max() <= 1e-9, entry.name
     assert renewal == 10
+
+
+@pytest.mark.parametrize("spec", ["window:12,3", "window:16,4"])
+def test_power_iteration_r_lies_in_the_exact_count_bracket(spec):
+    # the brackets are 5.6e-23 and 4.1e-17 wide, narrower than one ulp of r,
+    # so no float lies strictly inside; each side is widened by one spacing
+    g = parse_oracle_spec(spec).build()
+    assert len(values._cycle_heads(g)[0]) > 1  # the power-iteration branch
+    r = solve_strongly_connected(g).spectral.radius
+    lo, hi = support.count_bracket(g)
+    assert lo - Fraction(np.spacing(r)) <= Fraction(r) <= hi + Fraction(np.spacing(r))
 
 
 @pytest.mark.parametrize("k", [300, 2000])
