@@ -2,8 +2,11 @@
 
 A game graph is a finite directed graph in which every node of out-degree
 zero ("terminal") carries a positive value.  Play starts at a non-terminal
-node and walks edges until a terminal node is reached (if ever).  All edge
-semantics come from player strategies, so edges are unweighted.
+node and walks edges until a terminal node is reached (if ever).  Each graph
+caches one read-only edge table in the compressed-sparse-row layout of
+``edge_offsets``: edge e runs from ``sources[e]`` to ``targets[e]``, and
+``weights[e]`` is its entry in the propagation operator (1/2 at out-degree 1,
+1/d at out-degree d).  Terminal nodes have no edges.
 """
 
 from __future__ import annotations

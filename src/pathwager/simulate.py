@@ -382,8 +382,7 @@ def _edge_tables(graph: GameGraph, profile: StrategyProfile):
         g_cdf[edges] = np.cumsum(profile.guesser[edges], axis=1)
         c_cdf[edges] = np.cumsum(profile.chooser[edges], axis=1)
         win[nodes], lose[nodes] = _multipliers(d, profile.wagers[nodes])
-    for k in graph.terminals:
-        value[k] = graph.values[k]
+    value[np.diff(offsets) == 0] = [graph.values[k] for k in graph.terminals]
     return offsets, graph.targets, g_cdf, c_cdf, win, lose, value
 
 

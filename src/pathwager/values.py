@@ -137,10 +137,8 @@ def build_propagation_matrix(graph: GameGraph) -> PropagationMatrix:
     cls = classify(graph)
     if cls.kind is GraphKind.UNSUPPORTED:
         raise UnsupportedGraphError(cls.reason)
-    m = np.zeros((graph.num_nodes, graph.num_nodes))
+    m = np.diag((np.diff(graph.edge_offsets) == 0).astype(float))  # terminal rows: identity
     m[graph.sources, graph.targets] = graph.weights
-    terminals = list(graph.terminals)
-    m[terminals, terminals] = 1.0
     return PropagationMatrix(matrix=m)
 
 
@@ -431,11 +429,10 @@ def _truncation_series(solution: GameSolution, steps: int) -> TruncationSeries:
         raise ValueError("step count must be nonnegative")
     graph = solution.graph
     limit = solution.reciprocals
-    u = np.ones(graph.num_nodes)
-    for i in graph.terminals:
-        u[i] = 1.0 / graph.values[i]
-    scale = 1.0 if solution.spectral is None else 1.0 / solution.spectral.radius
     terminal = np.diff(graph.edge_offsets) == 0
+    u = np.ones(graph.num_nodes)
+    u[terminal] = [1.0 / graph.values[i] for i in graph.terminals]
+    scale = 1.0 if solution.spectral is None else 1.0 / solution.spectral.radius
     vectors = [u]
     for _ in range(steps):
         u = np.where(terminal, u, scale * _matvec(graph, u))  # a new array each step
