@@ -163,7 +163,7 @@ class GameGraph:
         return tuple(blocks)
 
     def edges(self) -> Iterable[tuple[int, int]]:
-        return zip(self.sources.tolist(), self.targets.tolist())
+        return ((i, j) for i, succ in enumerate(self.successors) for j in succ)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:

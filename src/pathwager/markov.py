@@ -28,7 +28,7 @@ import numpy as np
 
 from .graph import GameGraph, GraphKind
 from .values import ConvergenceError, GameSolution, UnsupportedGraphError
-from .values import _component_block, _rmatvec
+from .values import _component_block, _products
 
 _VALUE_FAIR_TOL = 1e-10
 _STATIONARY_TOL = 1e-10
@@ -160,7 +160,7 @@ def invariant_measure(solution: GameSolution) -> np.ndarray:
     x, y = solution.spectral.right_vec, solution.spectral.left_vec
     mu = x * y / (x @ y)
     mu = mu / mu.sum()
-    flow = solution.reciprocals * _rmatvec(solution.graph, solution.values * mu)
+    flow = solution.reciprocals * _products(solution.graph)[1](solution.values * mu)
     drift = float(np.abs(flow / solution.spectral.radius - mu).max())
     if drift > _STATIONARY_TOL:
         raise ConvergenceError(f"invariant measure fails stationarity check: drift {drift:.3e}")

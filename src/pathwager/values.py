@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,16 +52,16 @@ class ConvergenceError(RuntimeError):
     """An iterative Perron solve failed to converge within its budget."""
 
 
-def _matvec(graph: GameGraph, x: np.ndarray) -> np.ndarray:
-    """M x over the graph's edge table; a terminal row, which has no edges, is 0."""
-    return np.bincount(graph.sources, weights=graph.weights * x[graph.targets],
-                       minlength=graph.num_nodes)
+def _products(graph: GameGraph):
+    """The products x -> M x and y -> M^T y over the graph's edge table.
 
-
-def _rmatvec(graph: GameGraph, y: np.ndarray) -> np.ndarray:
-    """M^T y over the graph's edge table."""
-    return np.bincount(graph.targets, weights=graph.weights * y[graph.sources],
-                       minlength=graph.num_nodes)
+    A terminal row of M x, which has no edges, is 0.  They close over
+    writeable copies of the index arrays, because ``np.bincount`` copies a
+    read-only index array on every call.
+    """
+    src, dst, w, n = graph.sources.copy(), graph.targets.copy(), graph.weights, graph.num_nodes
+    return (lambda x: np.bincount(src, weights=w * x[dst], minlength=n),
+            lambda y: np.bincount(dst, weights=w * y[src], minlength=n))
 
 
 @dataclass
@@ -388,9 +387,10 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
         r, x, y = _renewal_solve(graph.edge_offsets, graph.targets, graph.weights, heads[0],
                                  [i for i in order if i != heads[0]])
     else:
-        x = _power_iteration(partial(_matvec, graph), graph.num_nodes)
-        y = _power_iteration(partial(_rmatvec, graph), graph.num_nodes)
-        mx = _matvec(graph, x)
+        matvec, rmatvec = _products(graph)
+        x = _power_iteration(matvec, graph.num_nodes)
+        y = _power_iteration(rmatvec, graph.num_nodes)
+        mx = matvec(x)
         r = float(y @ mx / (y @ x))
         r += float(y @ (mx - r * x) / (y @ x))  # the same quotient, less its rounding error
     # cap at the row-sum bound r <= max_i sum_j M_ij = 1 (Meyer, Matrix Analysis,
@@ -429,13 +429,13 @@ def _truncation_series(solution: GameSolution, steps: int) -> TruncationSeries:
         raise ValueError("step count must be nonnegative")
     graph = solution.graph
     limit = solution.reciprocals
-    terminal = np.diff(graph.edge_offsets) == 0
+    terminal, matvec = np.diff(graph.edge_offsets) == 0, _products(graph)[0]
     u = np.ones(graph.num_nodes)
     u[terminal] = [1.0 / graph.values[i] for i in graph.terminals]
     scale = 1.0 if solution.spectral is None else 1.0 / solution.spectral.radius
     vectors = [u]
     for _ in range(steps):
-        u = np.where(terminal, u, scale * _matvec(graph, u))  # a new array each step
+        u = np.where(terminal, u, scale * matvec(u))  # a new array each step
         vectors.append(u)
     residuals = np.abs(np.array(vectors) - limit).max(axis=1)
     return TruncationSeries(steps=steps, vectors=vectors, residuals=residuals)

@@ -31,7 +31,7 @@ from .values import (
     DENSE_BUDGET_BYTES as AUDIT_BUDGET_BYTES,
     GameSolution,
     UnsupportedGraphError,
-    _matvec,
+    _products,
     build_propagation_matrix,
 )
 
@@ -211,13 +211,13 @@ def _transient_power_bound(solution: GameSolution, steps: int) -> float:
     otherwise reports rho_s.
     """
     graph = solution.graph
-    transient = np.diff(graph.edge_offsets) > 0
+    transient, matvec = np.diff(graph.edge_offsets) > 0, _products(graph)[0]
     terms = max(map(len, graph.successors)) + 1
     growth = 1.0 + terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
     v = transient.astype(float)
     rho = [float(transient.any())]
     for k in range(1, steps + 1):
-        v = _matvec(graph, v)
+        v = matvec(v)
         rho.append(float(v.max()) * growth**k)
         q, r = divmod(steps, k)
         bound = rho[k] ** q * rho[r]
@@ -299,7 +299,7 @@ def certify_graph(
     elif solution.graph_class.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
         # eigen-equation residual doubles as the optimality certificate here
         u = solution.reciprocals
-        eig_res = float(np.abs(_matvec(graph, u) - solution.spectral.radius * u).max())
+        eig_res = float(np.abs(_products(graph)[0](u) - solution.spectral.radius * u).max())
         checks.append(
             CheckResult(
                 "reciprocal_values_solve_eigen_equation",

@@ -5,7 +5,6 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -378,8 +377,9 @@ def test_slow_mixing_one_lie_windows_solve_to_rounding(n):
     lo, hi = _exact_ratio_bracket(g, x)
     assert _renewal_sign(n, 2 * lo) <= 0 <= _renewal_sign(n, 2 * hi)
     assert hi - lo <= 1e-15
-    assert np.abs(values._matvec(g, x) - r * x).max() <= 1e-15
-    assert np.abs(values._rmatvec(g, y) - r * y).max() <= 1e-15
+    matvec, rmatvec = values._products(g)
+    assert np.abs(matvec(x) - r * x).max() <= 1e-15
+    assert np.abs(rmatvec(y) - r * y).max() <= 1e-15
     assert elapsed < 0.1
 
 
@@ -415,9 +415,10 @@ def test_renewal_path_matches_power_iteration(sc_corpus):
             continue
         renewal += 1
         g = entry.graph
-        x = values._power_iteration(partial(values._matvec, g), g.num_nodes)
-        y = values._power_iteration(partial(values._rmatvec, g), g.num_nodes)
-        r = y @ values._matvec(g, x) / (y @ x)
+        matvec, rmatvec = values._products(g)
+        x = values._power_iteration(matvec, g.num_nodes)
+        y = values._power_iteration(rmatvec, g.num_nodes)
+        r = y @ matvec(x) / (y @ x)
         u = x * (y.sum() / (x @ y))
         sol = solve_strongly_connected(entry.graph)
         assert abs(sol.spectral.radius - min(r, 1.0)) <= 1e-12, entry.name
@@ -450,7 +451,7 @@ def test_renewal_solve_converges_on_a_deep_ladder(k):
     lo, hi = _exact_ratio_bracket(g, x)
     assert lo <= r <= hi
     assert hi - lo <= 1e-12
-    assert np.abs(values._matvec(g, x) - r * x).max() <= 1e-15
+    assert np.abs(values._products(g)[0](x) - r * x).max() <= 1e-15
 
 
 def test_renewal_solve_of_a_stochastic_operator():
@@ -492,7 +493,7 @@ def _per_product_power_iteration(product, n):
 @pytest.mark.parametrize("spec", ["window:60,1", "window:16,4"])
 def test_blocked_power_iteration_costs_few_extra_products(spec):
     g = parse_oracle_spec(spec).build()
-    for product in (partial(values._matvec, g), partial(values._rmatvec, g)):
+    for product in values._products(g):
         counts = []
         for iterate in (values._power_iteration, _per_product_power_iteration):
             count = [0]

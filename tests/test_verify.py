@@ -383,12 +383,17 @@ def count_products(monkeypatch):
     """Record the audit's products over the edge table, one entry each."""
     products = []
 
-    def counted(graph, x):
-        products.append(1)
-        return matvec(graph, x)
+    def counted(graph):
+        matvec, rmatvec = build(graph)
 
-    matvec = pathwager.verify._matvec
-    monkeypatch.setattr(pathwager.verify, "_matvec", counted)
+        def counted_matvec(x):
+            products.append(1)
+            return matvec(x)
+
+        return counted_matvec, rmatvec
+
+    build = pathwager.verify._products
+    monkeypatch.setattr(pathwager.verify, "_products", counted)
     return products
 
 
