@@ -438,13 +438,15 @@ def dispatch(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
+    except BrokenPipeError:  # a reader that went away; ``main`` ends quietly
+        raise
     except (
         GraphError,
         UnsupportedGraphError,
         StrategyError,
         OracleBuildError,
         ConvergenceError,
-        FileNotFoundError,
+        OSError,  # a missing, unreadable or unwritable file, or a directory
         ValueError,
         MemoryError,  # an allocation the caller asked for (a huge --reps); numpy names the size
     ) as exc:

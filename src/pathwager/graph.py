@@ -6,7 +6,11 @@ node and walks edges until a terminal node is reached (if ever).  Each graph
 caches one read-only edge table in the compressed-sparse-row layout of
 ``edge_offsets``: edge e runs from ``sources[e]`` to ``targets[e]``, and
 ``weights[e]`` is its entry in the propagation operator (1/2 at out-degree 1,
-1/d at out-degree d).  Terminal nodes have no edges.
+1/d at out-degree d).  Terminal nodes have no edges.  Each graph also caches
+one depth-first search, ``search``: it gives the strongly connected
+components sinks first, the lowest node that reaches no terminal, the
+back-edge heads, the post-order and the period, so classification and every
+solve read one pass over the edges.
 """
 
 from __future__ import annotations
@@ -14,12 +18,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -166,9 +169,14 @@ class GameGraph:
         return ((i, j) for i, succ in enumerate(self.successors) for j in succ)
 
     @cached_property
+    def search(self) -> DepthFirstSearch:
+        """The one depth-first search that classifies the graph and orders its solve; cached."""
+        return _depth_first_search(self.successors)
+
+    @property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Strongly connected components, sinks first (the value solve's order); cached."""
-        return _strong_components(self.successors)
+        """Strongly connected components, sinks first (the value solve's order)."""
+        return self.search.components
 
     @cached_property
     def _class(self) -> GraphClass:
@@ -363,71 +371,83 @@ def serialize_graph(g: GameGraph) -> str:
 # -- classification ------------------------------------------------------
 
 
-def _strong_components(successors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Strongly connected components, sinks first (iterative Tarjan, O(N + E)).
+class DepthFirstSearch(NamedTuple):
+    """What ``_depth_first_search`` finds."""
 
-    Tarjan's algorithm closes a component only after every component it
-    reaches, so each component's successors lie in earlier components.
+    components: tuple[tuple[int, ...], ...]  # strongly connected, sinks first
+    stuck: Optional[int]                     # the lowest node reaching no terminal
+    heads: tuple[int, ...]                   # back-edge targets, sorted; none when acyclic
+    order: tuple[int, ...]                   # post-order
+    period: int                              # gcd of the cycle lengths; 1 with terminals
+
+
+def _depth_first_search(successors: Sequence[Sequence[int]]) -> DepthFirstSearch:
+    """One iterative Tarjan search (Tarjan, SIAM J. Comput. 1972), O(N + E).
+
+    It starts at the only self-loop node if there is one (a self-loop is a
+    back edge, so another root would add a head), else at node 0, then at
+    each unseen node in index order.  With one head f every cycle passes
+    through f, and the post-order lists the rest sinks first.  A component
+    closes after every component it reaches, which settles whether it reaches
+    a terminal.  The period is the gcd of d(i) + 1 - d(j) over edges i -> j,
+    d the tree depth: a cycle's length is the sum of its terms, and each term
+    is the difference of two closed walks through the root.
     """
     n = len(successors)
-    index, low = [-1] * n, [0] * n
-    counter = itertools.count()
-    stack: list[int] = []
-    components: list[tuple[int, ...]] = []
-    for root in range(n):
+    loops = [i for i, row in enumerate(successors) if i in row]
+    index, low, depth, on_path = [-1] * n, [0] * n, [0] * n, [False] * n
+    reach = [not row for row in successors]  # reaches a terminal
+    period = 1 if any(reach) else 0  # 1 skips the gcd
+    counter, stack, components, heads, order = itertools.count(), [], [], set(), []
+    for root in itertools.chain(loops if len(loops) == 1 else (), range(n)):
         if index[root] >= 0:
             continue
-        work: list = [(root, None)]
+        index[root] = low[root] = next(counter)
+        on_path[root] = True
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
         while work:
             v, children = work[-1]
-            if children is None:
-                index[v] = low[v] = next(counter)
-                stack.append(v)
-                children = iter(successors[v])
-                work[-1] = (v, children)
             for w in children:
-                if index[w] < 0:
-                    work.append((w, None))
+                iw = index[w]
+                if iw < 0:
+                    index[w] = low[w] = next(counter)
+                    depth[w], on_path[w] = len(work), True
+                    stack.append(w)
+                    work.append((w, iter(successors[w])))
                     break
-                low[v] = min(low[v], index[w])  # a node in a closed component has index n
+                if iw < low[v]:  # a node in a closed component has index n
+                    low[v] = iw
+                if on_path[w]:
+                    heads.add(w)
+                if period != 1:
+                    period = math.gcd(period, depth[v] + 1 - depth[w])
+                if reach[w]:
+                    reach[v] = True
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                order.append(work.pop()[0])
+                on_path[v] = False
                 if low[v] == index[v]:
                     members = [stack.pop()]
                     while members[-1] != v:
                         members.append(stack.pop())
-                    for w in members:
-                        index[w] = n
+                    for w in members:  # v's reach holds all of theirs
+                        index[w], reach[w] = n, reach[v]
                     components.append(tuple(sorted(members)))
-    return tuple(components)
+                if work:
+                    u = work[-1][0]
+                    low[u], reach[u] = min(low[u], low[v]), reach[u] or reach[v]
+    stuck = next((i for i in range(n) if not reach[i]), None)
+    return DepthFirstSearch(tuple(components), stuck, tuple(sorted(heads)), tuple(order), period)
 
 
 def aperiodicity_gcd(g: GameGraph) -> int:
-    """gcd of all cycle lengths of a strongly connected graph.
-
-    Uses the BFS-level characterization: the gcd of |level(u)+1-level(v)|
-    over all edges u->v equals the gcd of all cycle lengths.  A result of 1
-    means the graph is aperiodic.
-    """
+    """gcd of all cycle lengths of a strongly connected graph (1: aperiodic), from its search."""
     if g.terminals:
         raise GraphError("aperiodicity is defined for graphs without terminal nodes")
     if len(g.components) != 1:
         raise GraphError("aperiodicity requires a strongly connected graph")
-    level = {0: 0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in g.successors[i]:
-            if j not in level:
-                level[j] = level[i] + 1
-                queue.append(j)
-    gcd = 0
-    for i, j in g.edges():
-        gcd = math.gcd(gcd, abs(level[i] + 1 - level[j]))
-    return gcd
+    return g.search.period
 
 
 def classify(g: GameGraph) -> GraphClass:
@@ -436,42 +456,29 @@ def classify(g: GameGraph) -> GraphClass:
 
 
 def _classify(g: GameGraph) -> GraphClass:
-    components = g.components
+    search = g.search
     if g.terminals:
-        reaches = [False] * g.num_nodes   # node can reach a terminal
-        for comp in components:           # sinks first: successors are settled
-            hit = any(reaches[j] for i in comp for j in g.successors[i])
-            for i in comp:
-                reaches[i] = hit or g.is_terminal(i)
-        if not all(reaches):
-            stuck = reaches.index(False)
-            return GraphClass(
-                GraphKind.UNSUPPORTED,
-                f"node {g.labels[stuck]!r} cannot reach any terminal node",
-            )
+        if search.stuck is not None:
+            return GraphClass(GraphKind.UNSUPPORTED,
+                              f"node {g.labels[search.stuck]!r} cannot reach any terminal node")
         # acyclic, with N - 1 edges into N - 1 distinct nodes: a tree rooted
         # at the one node nothing enters, a source of the condensation
-        root = components[-1][0]
+        root = search.components[-1][0]
         if (
-            not g.is_terminal(root)
+            not search.heads
+            and not g.is_terminal(root)
             and len(set(g.targets.tolist())) == len(g.targets) == g.num_nodes - 1
-            and not any(map(g.is_cyclic, components))
         ):
             if all(g.is_terminal(j) for j in g.successors[root]):
                 return GraphClass(GraphKind.FAN)
             return GraphClass(GraphKind.TREE)
         return GraphClass(GraphKind.TERMINATING)
-    if len(components) != 1:
-        return GraphClass(
-            GraphKind.UNSUPPORTED,
-            "no terminal nodes and the graph is not strongly connected",
-        )
-    period = aperiodicity_gcd(g)
-    if period != 1:
-        return GraphClass(
-            GraphKind.UNSUPPORTED,
-            f"periodic: every cycle length is a multiple of {period}",
-        )
+    if len(search.components) != 1:
+        return GraphClass(GraphKind.UNSUPPORTED,
+                          "no terminal nodes and the graph is not strongly connected")
+    if search.period != 1:
+        return GraphClass(GraphKind.UNSUPPORTED,
+                          f"periodic: every cycle length is a multiple of {search.period}")
     return GraphClass(GraphKind.STRONGLY_CONNECTED_APERIODIC)
 
 

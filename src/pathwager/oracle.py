@@ -54,7 +54,6 @@ class OracleSpec:
     n: int = 0
     k: int = 0
     patterns: tuple[str, ...] = ()
-    start_label: str = "1"
 
     def build(self) -> GameGraph:
         if self.kind == "window":

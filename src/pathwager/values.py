@@ -15,9 +15,11 @@ dense solve would pass ``DENSE_BUDGET_BYTES``); the same walk solves
 (I - A) Z = R for a block of right-hand sides.  Strongly connected aperiodic
 graphs have no terminals and the reciprocal values are the Perron eigenvector
 of the propagation operator, whose maximal eigenvalue is the discount factor.
-When one node lies on every cycle (the one-lie window games), the eigenvalue
-is the root of that node's scalar renewal equation and the vectors follow by
-walks over the acyclic rest; every other such graph is power-iterated.
+When one node lies on every cycle (the one-lie window games), the graph's
+depth-first search (``GameGraph.search``) finds it as the only back-edge
+head; the eigenvalue is the root of that node's scalar renewal equation and
+the vectors follow by walks over the acyclic rest in the search's
+post-order.  Every other such graph is power-iterated.
 """
 
 from __future__ import annotations
@@ -182,8 +184,8 @@ def _solve_values(graph: GameGraph, cls: GraphClass, exact: bool) -> GameSolutio
 
 
 def _check_exact(graph: GameGraph) -> None:
-    """Refuse exact mode unless no component is cyclic and every terminal value is exact."""
-    if any(map(graph.is_cyclic, graph.components)):
+    """Refuse exact mode unless the graph has no back edge (is acyclic) and exact terminal values."""
+    if graph.search.heads:
         raise UnsupportedGraphError("exact mode requires an acyclic graph")
     if graph.exact_values is None:
         raise UnsupportedGraphError("exact mode requires exact (rational) terminal values")
@@ -286,37 +288,6 @@ def _power_iteration(product, n: int) -> np.ndarray:
     )
 
 
-def _cycle_heads(graph: GameGraph) -> tuple[list[int], list[int]]:
-    """Heads of the back edges of one depth-first search, and its post-order.
-
-    The search starts at the only self-loop node if there is one (a self-loop
-    is a back edge, so another root would add a head), else at node 0.  With
-    one head f, every cycle passes through f, and the post-order lists the
-    other nodes sinks first.
-    """
-    succ = graph.successors
-    loops = [i for i, row in enumerate(succ) if i in row]
-    root = loops[0] if len(loops) == 1 else 0
-    state = [0] * graph.num_nodes  # 0 unseen, 1 on the search path, 2 finished
-    state[root] = 1
-    heads, order = set(), []
-    work = [(root, iter(succ[root]))]
-    while work:
-        v, children = work[-1]
-        for w in children:
-            if not state[w]:
-                state[w] = 1
-                work.append((w, iter(succ[w])))
-                break
-            if state[w] == 1:
-                heads.add(w)
-        else:
-            work.pop()
-            state[v] = 2
-            order.append(v)
-    return sorted(heads), order
-
-
 def _renewal_solve(offsets: np.ndarray, targets: np.ndarray, weights: np.ndarray, f: int,
                    order: Sequence[int]) -> tuple[float, np.ndarray, np.ndarray]:
     """Perron triple (r, x, y) when every cycle passes through f; ``order`` lists the rest, R, sinks first.
@@ -371,9 +342,9 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
 
     The maximal eigenvalue r of M (in [1/2, 1]) is the optimal discount
     factor, with right and left eigenvectors x and y.  ``_renewal_solve`` finds
-    them when one depth-first search shows a node on every cycle (the one-lie
-    windows); power iteration on M and M^T does otherwise, with r the
-    two-sided Rayleigh quotient y^T M x / y^T x.  The reciprocal
+    them when the graph's search has one back-edge head, a node on every
+    cycle (the one-lie windows); power iteration on M and M^T does
+    otherwise, with r the two-sided Rayleigh quotient y^T M x / y^T x.  The reciprocal
     values u = x * sum(y) / (x . y) are the limit of the depth-limited values
     r^{-s} M^s 1, with no rescaling.
     """
@@ -382,7 +353,7 @@ def solve_strongly_connected(graph: GameGraph) -> GameSolution:
         raise UnsupportedGraphError(
             f"solve_strongly_connected requires a strongly connected aperiodic graph, got {cls}"
         )
-    heads, order = _cycle_heads(graph)
+    heads, order = graph.search.heads, graph.search.order
     if len(heads) == 1:
         r, x, y = _renewal_solve(graph.edge_offsets, graph.targets, graph.weights, heads[0],
                                  [i for i in order if i != heads[0]])

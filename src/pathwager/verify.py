@@ -167,9 +167,6 @@ def audit_convergence(solution: GameSolution, steps: int = 400) -> Certificate:
         bound = _transient_power_bound(solution, steps)
         checks = [CheckResult("power_limit_absorbing", bound <= RESIDUAL_TOL,
                               {"steps": steps, "residual": bound})]
-        if graph.nonterminals:
-            checks.append(CheckResult("transient_block_vanishes", bound <= RESIDUAL_TOL,
-                                      {"max_entry": bound}))
         return Certificate(checks=checks, residual=bound)
 
     n = graph.num_nodes

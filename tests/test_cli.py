@@ -297,6 +297,15 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, fan_path):
         assert done.returncode == 1 and done.stderr == b"", (argv, done.stderr)
 
 
+def test_a_directory_in_place_of_a_file_is_an_input_error(tmp_path, capsys):
+    # an OSError other than a closed stdout ends in exit 1 and an ``error:`` line
+    for argv in (["solve", "--graph", str(tmp_path)],
+                 ["generate", "--oracle", "window:3,1", "--out", str(tmp_path)]):
+        assert dispatch(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), argv
+
+
 def test_generate_patterns_file(tmp_path, capsys):
     pat = tmp_path / "patterns.txt"
     pat.write_text("L L\n")
@@ -345,7 +354,7 @@ def test_each_command_classifies_and_solves_once(spec, tmp_path, capsys, monkeyp
     }
     for module in (pathwager.markov, pathwager.strategy, pathwager.oracle):
         assert not hasattr(module, "build_propagation_matrix"), module.__name__
-    passes = _count_calls(monkeypatch, "_strong_components", [pathwager.graph])
+    passes = _count_calls(monkeypatch, "_depth_first_search", [pathwager.graph])
     assert not hasattr(pathwager.verify, "solve")  # certify_graph reuses the solution
     solves = _count_calls(monkeypatch, "solve", [pathwager.cli, pathwager.values])
     dense = _count_calls(monkeypatch, "build_propagation_matrix",

@@ -1,6 +1,7 @@
 """Graph parsing, validation, classification, and DOT export."""
 
 import json
+import random
 from collections import deque
 
 import numpy as np
@@ -21,6 +22,7 @@ from pathwager import (
     solve,
     to_dot,
 )
+from pathwager.oracle import parse_oracle_spec
 
 
 MINIMAL_FAN = '{"nodes":["root","a","b"],"edges":[["root","a"],["root","b"]],"values":{"a":1,"b":1}}'
@@ -159,11 +161,62 @@ def test_aperiodicity_gcd_examples():
     assert aperiodicity_gcd(fig1) == 1
 
 
+def _ring(k, chords=()):
+    labels = [str(i) for i in range(k)]
+    edges = [(str(i), str((i + d) % k)) for i in range(k) for d in (1, *chords)]
+    return build_graph(labels, edges, {})
+
+
 def test_aperiodicity_gcd_matches_cycle_enumeration(sc_corpus):
-    for entry in sc_corpus:
-        if entry.graph.num_nodes > 8:
+    # the search reads the period from its own tree; BFS levels and cycle
+    # enumeration are independent references
+    window = parse_oracle_spec("window:200,1").build()
+    order = random.Random(12).sample(range(200), 200)
+    relabelled = build_graph([window.labels[i] for i in order],
+                             [(window.labels[i], window.labels[j]) for i, j in window.edges()], {})
+    assert relabelled.index_of("1") != 0
+    rings = [_ring(k) for k in (1, 2, 5, 12)] + [_ring(12, (3,)), _ring(12, (4,)), _ring(12, (2,))]
+    graphs = [(e.name, e.graph) for e in sc_corpus] + [("window:200,1", relabelled)]
+    graphs += [(f"ring{k}", g) for k, g in enumerate(rings)]
+    periods = []
+    for name, g in graphs:
+        period = g.search.period
+        assert period == support.bfs_level_gcd(g) == aperiodicity_gcd(g), name
+        if g.num_nodes <= 8 or name.startswith(("ring", "window")):
+            assert period == support.gcd_of_cycles(g), name
+        periods.append(period)
+    assert periods[-7:] == [1, 2, 5, 12, 2, 3, 1]
+    assert classify(rings[3]).reason == "periodic: every cycle length is a multiple of 12"
+
+
+def _single_head_graphs(corpus):
+    yield from ((e.name, e.graph) for e in corpus)
+    yield from enumerate(_random_digraphs(200))
+    for spec in ("window:2,1", "window:8,1", "window:60,1", "window-stop:12"):
+        yield spec, parse_oracle_spec(spec).build()
+
+
+def test_post_order_lists_every_successor_first_on_single_head_graphs(corpus):
+    # with one back-edge head f, the graph less f is acyclic and the post-order
+    # is its sinks-first order: the renewal walk's order
+    seen = 0
+    for name, g in _single_head_graphs(corpus):
+        heads, order = g.search.heads, g.search.order
+        assert sorted(order) == list(range(g.num_nodes)), name
+        if len(heads) != 1:
             continue
-        assert aperiodicity_gcd(entry.graph) == support.gcd_of_cycles(entry.graph), entry.name
+        seen += 1
+        place = {i: k for k, i in enumerate(order)}
+        for i, j in g.edges():
+            if heads[0] not in (i, j):
+                assert place[j] < place[i], (name, i, j)
+    assert seen >= 30
+
+
+def test_search_finds_no_head_exactly_on_acyclic_graphs(corpus):
+    for name, g in [(e.name, e.graph) for e in corpus] + list(enumerate(_random_digraphs(200))):
+        cyclic = any(len(c) > 1 or c[0] in g.successors[c[0]] for c in g.components)
+        assert bool(g.search.heads) == cyclic, name
 
 
 def test_aperiodicity_gcd_requires_strong_connectivity():

@@ -386,8 +386,8 @@ def test_slow_mixing_one_lie_windows_solve_to_rounding(n):
 @pytest.mark.parametrize("n", [2, 3, 8, 60])
 def test_cycle_heads_find_the_start_state_of_one_lie_windows(n):
     g = build_window_game(n, 1)
-    heads, order = values._cycle_heads(g)
-    assert heads == [g.index_of("1")]
+    heads, order = g.search.heads, g.search.order
+    assert heads == (g.index_of("1"),)
     assert sorted(order) == list(range(n))
 
 
@@ -397,21 +397,18 @@ def test_cycle_heads_find_the_start_state_under_relabelling():
     relabelled = build_graph(
         [g.labels[i] for i in order], [(g.labels[i], g.labels[j]) for i, j in g.edges()], {})
     assert relabelled.index_of("1") != 0
-    heads, _ = values._cycle_heads(relabelled)
-    assert heads == [relabelled.index_of("1")]
+    assert relabelled.search.heads == (relabelled.index_of("1"),)
 
 
 @pytest.mark.parametrize("spec", ["window:5,2", "window:12,3"])
 def test_cycle_heads_find_several_on_multi_lie_windows(spec):
-    heads, _ = values._cycle_heads(parse_oracle_spec(spec).build())
-    assert len(heads) >= 2
+    assert len(parse_oracle_spec(spec).build().search.heads) >= 2
 
 
 def test_renewal_path_matches_power_iteration(sc_corpus):
     renewal = 0
     for entry in sc_corpus:
-        heads, _ = values._cycle_heads(entry.graph)
-        if len(heads) != 1:
+        if len(entry.graph.search.heads) != 1:
             continue
         renewal += 1
         g = entry.graph
@@ -431,7 +428,7 @@ def test_power_iteration_r_lies_in_the_exact_count_bracket(spec):
     # the brackets are 5.6e-23 and 4.1e-17 wide, narrower than one ulp of r,
     # so no float lies strictly inside; each side is widened by one spacing
     g = parse_oracle_spec(spec).build()
-    assert len(values._cycle_heads(g)[0]) > 1  # the power-iteration branch
+    assert len(g.search.heads) > 1  # the power-iteration branch
     r = solve_strongly_connected(g).spectral.radius
     lo, hi = support.count_bracket(g)
     assert lo - Fraction(np.spacing(r)) <= Fraction(r) <= hi + Fraction(np.spacing(r))
@@ -445,7 +442,7 @@ def test_renewal_solve_converges_on_a_deep_ladder(k):
     labels = [str(i) for i in range(k)]
     edges = {("0", "0")} | {(str(i), str(j if j < k else 0)) for i in range(k) for j in (i + 1, i + 2)}
     g = build_graph(labels, sorted(edges), {})
-    assert values._cycle_heads(g)[0] == [0]
+    assert g.search.heads == (0,)
     sol = solve_strongly_connected(g)
     r, x = sol.spectral.radius, sol.spectral.right_vec
     lo, hi = _exact_ratio_bracket(g, x)
