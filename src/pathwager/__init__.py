@@ -57,7 +57,6 @@ from .values import (
     GameSolution,
     PropagationMatrix,
     SpectralData,
-    TruncationSeries,
     UnsupportedGraphError,
     build_propagation_matrix,
     solve,

@@ -18,10 +18,10 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .graph import GameGraph, GraphError, GraphKind, parse_graph, serialize_graph, to_dot
+from .graph import GameGraph, GraphError, parse_graph, serialize_graph, to_dot
 from .markov import analyze
 from .oracle import OracleBuildError, parse_oracle_spec
-from .simulate import SimulationConfig, StepRng, _multipliers, _pick, run
+from .simulate import SimulationConfig, StepRng, _bisect, _edge_tables, _multipliers, run
 from .strategy import StrategyError, build_profile
 from .values import ConvergenceError, UnsupportedGraphError, _truncation_series, solve
 from .verify import certify_graph
@@ -97,8 +97,7 @@ def _cmd_solve(args) -> int:
     solution = solve(graph, exact=args.exact)
     report = solution.to_dict()
     if args.truncate is not None:
-        series = _truncation_series(solution, args.truncate)
-        report["residuals"] = series.residuals.tolist()
+        report["residuals"] = _truncation_series(solution, args.truncate).tolist()
     _emit(report, args, digest)
     return 0
 
@@ -106,8 +105,7 @@ def _cmd_solve(args) -> int:
 def _cmd_strategy(args) -> int:
     graph, digest = _load_graph(args.graph)
     solution = solve(graph)
-    profile = build_profile(solution, graph, beta=args.beta)
-    report = profile.to_dict(graph)
+    report = build_profile(solution, beta=args.beta).to_dict()
     _emit(report, args, digest)
     return 0
 
@@ -124,7 +122,7 @@ def _cmd_analyze(args) -> int:
         lines += [row % (t, *q) for t, q in enumerate(report_obj.stopping.stop_dist.tolist(), 1)]
         _write("\n".join(lines), args)
         return 0
-    report = report_obj.to_dict(graph)
+    report = report_obj.to_dict()
     _emit(report, args, digest)
     return 0
 
@@ -132,25 +130,18 @@ def _cmd_analyze(args) -> int:
 def _cmd_simulate(args) -> int:
     graph, digest = _load_graph(args.graph)
     solution = solve(graph)
-    profile = build_profile(solution, graph, beta=args.beta)
+    profile = build_profile(solution, beta=args.beta)
     seed = _resolve_seed(args)
     start = graph.index_of(args.start) if args.start else _first_nonterminal(graph)
-    discount = None
     horizon = args.horizon
-    if solution.graph_class.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
-        discount = solution.spectral.radius
-        if horizon is None:
-            horizon = 100  # exact horizon; every replication runs this long
-    elif horizon is None:
-        horizon = 10**5  # censoring cap; replications stop at absorption
+    if horizon is None:  # a censoring cap on terminating graphs, else an exact horizon
+        horizon = 10**5 if solution.graph_class.is_terminating else 100
     config = SimulationConfig(
-        graph=graph,
         profile=profile,
         start=start,
         replications=args.reps,
         max_steps=horizon,
         seed=seed,
-        discount=discount,
     )
     result = run(config)
     if args.format == "csv":
@@ -182,7 +173,7 @@ def _cmd_verify(args) -> int:
     graph, digest = _load_graph(args.graph)
     solution = solve(graph)
     betas = (args.beta,) if args.beta is not None else (0.0, 0.5, 1.0)
-    certificate = certify_graph(graph, solution, betas=betas, depth=args.depth)
+    certificate = certify_graph(solution, betas=betas, depth=args.depth)
     report = certificate.to_dict()
     _emit(report, args, digest)
     return 0 if certificate.passed else 2
@@ -192,8 +183,7 @@ def _cmd_export_dot(args) -> int:
     graph, _ = _load_graph(args.graph)
     profile = None
     if args.beta is not None:
-        solution = solve(graph)
-        profile = build_profile(solution, graph, beta=args.beta)
+        profile = build_profile(solve(graph), beta=args.beta)
     _write(to_dot(graph, profile), args)
     return 0
 
@@ -242,8 +232,14 @@ def play_repl(
             raise _QuitSession
         return line
 
-    solution = solve(graph)
-    profile = build_profile(solution, graph, beta=beta)
+    profile = build_profile(solve(graph), beta=beta)
+    offsets, dst, g_cdf, c_cdf, _, _, _ = _edge_tables(profile)  # the step kernel's, built once
+
+    def pick(cdf, node: int, u: float) -> int:
+        """The successor of ``node`` that u picks from its row of ``cdf``, as ``run`` does."""
+        first, last = offsets[node], offsets[node + 1] - 1
+        return int(dst[_bisect(cdf, first, last, u, int(last - first).bit_length())])
+
     rng = StepRng(seed=seed)
     node = _first_nonterminal(graph)
     fortune = 1.0
@@ -258,18 +254,17 @@ def play_repl(
         say(f"\nnode {graph.labels[node]!r}: moves {names}, fortune {_fmt(fortune)}")
 
         u_guess, u_choice = rng.next_pair()
-        edges = slice(*graph.edge_offsets[node:node + 2])
         try:
             if human_side == "guesser":
                 wager = _ask_wager(ask, say)
                 guess = _ask_move(ask, say, graph, succ, "your guess: ")
                 say(f"wager announced: {_fmt(wager)}")
-                choice = succ[_pick(profile.chooser[edges], u_choice)]
+                choice = pick(c_cdf, node, u_choice)
                 say(f"chooser moves to {graph.labels[choice]!r}")
             else:
                 wager = float(profile.wagers[node])
                 say(f"guesser announces wager {_fmt(wager)} (guess is written down)")
-                guess = succ[_pick(profile.guesser[edges], u_guess)]
+                guess = pick(g_cdf, node, u_guess)
                 choice = _ask_move(ask, say, graph, succ, "your move: ")
                 say(f"guesser's committed guess was {graph.labels[guess]!r}")
         except _QuitSession:

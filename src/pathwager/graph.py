@@ -489,10 +489,11 @@ def to_dot(g: GameGraph, profile=None) -> str:
     """Render the graph in Graphviz DOT form.
 
     When a strategy profile is supplied, non-terminal nodes are annotated
-    with their wager and edges with the chooser/guesser probabilities.
+    with their wager and edges with the chooser/guesser probabilities; a
+    profile of another graph is refused.
     """
     if profile is not None:
-        if not profile.matches(g):
+        if profile.graph != g:
             raise GraphError("strategy profile does not match the graph")
         chooser, guesser, wagers = (a.tolist() for a in (profile.chooser, profile.guesser,
                                                          profile.wagers))

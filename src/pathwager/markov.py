@@ -9,7 +9,9 @@ A, B of the propagation operator and the value diagonal V:
     rho = V_nt (I - A)^{-1} B V_t^{-1}
 
 A and B are never formed: tau, rho and q_t come from one component walk,
-sinks first, that builds each cyclic component's dense block once.
+sinks first, that builds each cyclic component's dense block once.  Every
+call takes the solution alone and reads the graph from it, so the report
+and its labels always belong to the graph that was solved.
 
 For strongly connected aperiodic graphs: the invariant measure of the
 position walk (entrywise product of the scaled Perron eigenvectors) and the
@@ -26,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import GameGraph, GraphKind
+from .graph import GraphKind
 from .values import ConvergenceError, GameSolution, UnsupportedGraphError
 from .values import _component_block, _products
 
@@ -56,6 +58,7 @@ class SteadyStateFortunes:
 
 @dataclass
 class MarkovReport:
+    solution: GameSolution
     fairness: FairnessVerdict
     stopping: Optional[StoppingStats] = None
     invariant: Optional[np.ndarray] = None
@@ -63,7 +66,8 @@ class MarkovReport:
     t_max: int = 0
     warnings: list = field(default_factory=list)
 
-    def to_dict(self, graph: GameGraph) -> dict:
+    def to_dict(self) -> dict:
+        graph = self.solution.graph
         labels = graph.labels
         doc: dict = {
             "node_order": list(labels),
@@ -88,12 +92,13 @@ class MarkovReport:
         return doc
 
 
-def stopping_analysis(solution: GameSolution, graph: GameGraph, t_max: int) -> StoppingStats:
+def stopping_analysis(solution: GameSolution, t_max: int) -> StoppingStats:
     """Exact stopping-time and terminal-hit statistics on a terminating graph."""
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if not solution.graph_class.is_terminating:
         raise UnsupportedGraphError("stopping analysis requires a terminating graph")
+    graph = solution.graph
     nt, t = list(graph.nonterminals), list(graph.terminals)
     v_nt, u = solution.values[nt], solution.reciprocals
     # w = [z | c]: tau, rho = V_nt z for (I - A) z = [u_nt | diag(u_t)], and q_t = V_nt c_t
@@ -124,12 +129,13 @@ def stopping_analysis(solution: GameSolution, graph: GameGraph, t_max: int) -> S
                          tail_mass=1.0 - stop_dist.sum(axis=0))
 
 
-def fairness_check(solution: GameSolution, graph: GameGraph) -> FairnessVerdict:
+def fairness_check(solution: GameSolution) -> FairnessVerdict:
     """Structural fairness verdict, with the value-based verdict alongside.
 
     The two routes are mathematically equivalent; both are reported so that
     they can be cross-checked.
     """
+    graph = solution.graph
     if solution.graph_class.is_terminating:
         value_fair = bool(np.abs(solution.values - 1.0).max() <= _VALUE_FAIR_TOL)
         fair_reason = "all terminal values are 1 and every non-terminal out-degree is >= 2"
@@ -185,11 +191,10 @@ def steady_state_fortunes(solution: GameSolution) -> SteadyStateFortunes:
 def analyze(solution: GameSolution, t_max: int = 500) -> MarkovReport:
     """Full dynamics report for a solved graph."""
     graph = solution.graph
-    fairness = fairness_check(solution, graph)
-    report = MarkovReport(fairness=fairness, t_max=t_max)
+    report = MarkovReport(solution, fairness_check(solution), t_max=t_max)
     if solution.graph_class.is_terminating:
         if graph.nonterminals:
-            report.stopping = stopping_analysis(solution, graph, t_max)
+            report.stopping = stopping_analysis(solution, t_max)
             worst_tail = float(report.stopping.tail_mass.max())
             if worst_tail > 1e-8:
                 report.warnings.append(

@@ -348,7 +348,7 @@ def build_stopping_variant(n: int) -> GameGraph:
         edge_labels[(base.labels[node], "stop")] = "stop"
     graph = build_graph(labels, edges, {"stop": 1}, edge_labels=edge_labels)
 
-    chooser = build_profile(solve_terminating(graph), graph, beta=0).chooser
+    chooser = build_profile(solve_terminating(graph), beta=0).chooser
     stop, last = graph.index_of("stop"), graph.edge_offsets[1:] - 1
     for i in range(1, n + 1):
         want = stop_probability_formula(n, i)

@@ -13,17 +13,19 @@ ends the game.
 
 A profile holds both players' strategies per edge, in the layout of
 ``GameGraph.edge_offsets``: row i, ``edge_offsets[i]:edge_offsets[i + 1]``,
-holds node i's successors in order.  ``play_step`` picks within one node's
-row.  ``run`` moves all replications together through one step kernel:
+holds node i's successors in order.  One step kernel picks every move:
 node i's successors and both players' CDFs over them fill row i of flat
-per-edge tables, and a vectorised bisection in that row picks the guess and
-the move, the index ``searchsorted(cdf, u, side="right")`` capped at
-degree - 1, as ``play_step`` takes it.  Replications drop out at a
-terminal; strongly connected games instead run a fixed horizon, discounted
-every step.  ``_DRAW_BUDGET`` bounds both the Philox blocks per call and
-the replications per kernel pass: one call draws a span of steps for all
-live replications while they fit, and past it each step runs over slices
-of them, so the working set is O(E + budget) beside O(replications) results.
+per-edge tables (``_edge_tables``), and a bisection in that row
+(``_bisect``) picks the guess and the move, the index
+``searchsorted(cdf, u, side="right")`` capped at degree - 1.  ``play_step``
+runs it for one game, ``run`` for all replications together, vectorised.
+Every call takes the profile, and reads the solution and graph it was built
+from.  Replications drop out at a terminal; strongly connected games instead
+run a fixed horizon, discounted every step by the solution's r.
+``_DRAW_BUDGET`` bounds both the Philox blocks per call and the replications
+per kernel pass: one call draws a span of steps for all live replications
+while they fit, and past it each step runs over slices of them, so the
+working set is O(E + budget) beside O(replications) results.
 
 ``exploit_search`` sweeps best replies over ``GameGraph.degree_blocks``, one
 m x d array pass per out-degree d and sweep, on the profile's entries
@@ -42,9 +44,9 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import GameGraph, GraphKind, classify
+from .graph import GameGraph, GraphKind
 from .strategy import StrategyProfile
-from .values import GameSolution, UnsupportedGraphError
+from .values import UnsupportedGraphError
 
 _PHILOX_M0 = np.uint64(0xD2511F53)
 _PHILOX_M1 = np.uint64(0xCD9E8D57)
@@ -116,15 +118,19 @@ class StepRng:
 
 @dataclass
 class SimulationConfig:
-    graph: GameGraph
+    """Replications of play under ``profile``, on the graph it was built for."""
+
     profile: StrategyProfile
     start: int
     replications: int
     max_steps: int = _DEFAULT_MAX_STEPS
     seed: int = 0
-    discount: Optional[float] = None
     checkpoints: Optional[tuple[int, ...]] = None
     track_occupancy: bool = False  # also keep the reps x N visit matrix
+
+    @property
+    def graph(self) -> GameGraph:
+        return self.profile.graph
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -135,10 +141,6 @@ class SimulationConfig:
             raise ValueError(f"start node {self.start} is outside 0..{self.graph.num_nodes - 1}")
         if self.graph.is_terminal(self.start):
             raise ValueError("start node must be non-terminal")
-        if self.discount is not None and not 0.0 < self.discount <= 1.0:
-            raise ValueError("discount must lie in (0, 1]")
-        if not self.profile.matches(self.graph):
-            raise ValueError("strategy profile does not match the graph")
 
 
 @dataclass
@@ -159,7 +161,7 @@ class SimulationResult:
         out: dict = {"replications": int(len(self.final_fortunes))}
         if self.kind is GraphKind.STRONGLY_CONNECTED_APERIODIC:
             out["horizon"] = int(self.config.max_steps)
-            out["discount"] = self.config.discount
+            out["discount"] = self.config.profile.solution.spectral.radius
             out["discounted_checkpoints"] = {}
             for t in sorted(self.checkpoints):
                 _, fortune = self.checkpoints[t]
@@ -198,40 +200,31 @@ def _se(x: np.ndarray) -> Optional[float]:
     return float(x.std(ddof=1) / np.sqrt(x.size))
 
 
-def play_step(
-    graph: GameGraph,
-    profile: StrategyProfile,
-    node: int,
-    fortune: float,
-    rng: StepRng,
-) -> tuple[int, float]:
+def play_step(profile: StrategyProfile, node: int, fortune: float,
+              rng: StepRng) -> tuple[int, float]:
     """One round at a non-terminal node; returns (next node, new fortune).
 
     The guess is drawn before the choice from the same counter block; the
-    two draws are independent.  Landing on a terminal node multiplies the
-    fortune by that node's value.
+    two draws are independent, and both are picked by the step kernel of
+    ``run``.  Landing on a terminal node multiplies the fortune by that
+    node's value.
     """
+    graph = profile.graph
     if not 0 <= node < graph.num_nodes:
         raise ValueError(f"node {node} is outside 0..{graph.num_nodes - 1}")
-    if not profile.matches(graph):
-        raise ValueError("strategy profile does not match the graph")
-    succ = graph.successors[node]
-    if not succ:
+    if graph.is_terminal(node):
         raise ValueError("cannot play from a terminal node")
     u_guess, u_choice = rng.next_pair()
-    edges = slice(*graph.edge_offsets[node:node + 2])
-    guess = succ[_pick(profile.guesser[edges], u_guess)]
-    choice = succ[_pick(profile.chooser[edges], u_choice)]
-    win, lose = _multipliers(len(succ), float(profile.wagers[node]))
-    fortune *= win if guess == choice else lose
-    if graph.is_terminal(choice):
-        fortune *= graph.values[choice]
-    return choice, fortune
-
-
-def _pick(probs: np.ndarray, u: float) -> int:
-    cdf = np.cumsum(probs)
-    return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
+    offsets, dst, g_cdf, c_cdf, win, lose, value = _edge_tables(profile)
+    first, last = offsets[node], offsets[node + 1] - 1
+    rounds = int(last - first).bit_length()
+    guess, choice = (int(_bisect(cdf, first, last, u, rounds))
+                     for cdf, u in ((g_cdf, u_guess), (c_cdf, u_choice)))
+    fortune *= float(win[node] if guess == choice else lose[node])
+    nxt = int(dst[choice])
+    if graph.is_terminal(nxt):
+        fortune *= float(value[nxt])
+    return nxt, fortune
 
 
 def _multipliers(n: int, w: float) -> tuple[float, float]:
@@ -264,19 +257,18 @@ def _best_reply(p: np.ndarray, cont: np.ndarray):
 
 
 def run(config: SimulationConfig) -> SimulationResult:
-    """Run all replications; deterministic given (seed, config)."""
-    cls = classify(config.graph)
-    kind = cls.kind
-    if kind is GraphKind.UNSUPPORTED:
-        raise UnsupportedGraphError(cls.reason)
+    """Run all replications; deterministic given (seed, config).
+
+    A strongly connected game is discounted every step by the solution's r.
+    """
+    solution = config.profile.solution
+    kind = solution.graph_class.kind
     if kind is not GraphKind.STRONGLY_CONNECTED_APERIODIC:
         return _walk(config, kind, 1.0, set())
-    if config.discount is None:
-        raise ValueError("simulating a strongly connected graph requires a discount factor")
     checkpoints = set(config.checkpoints or (config.max_steps,))
     if any(t < 1 or t > config.max_steps for t in checkpoints):
         raise ValueError("checkpoints must lie in 1..max_steps")
-    return _walk(config, kind, float(config.discount), checkpoints)
+    return _walk(config, kind, solution.spectral.radius, checkpoints)
 
 
 def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoints: set):
@@ -293,7 +285,7 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
     """
     graph, reps = config.graph, config.replications
     horizon = kind is GraphKind.STRONGLY_CONNECTED_APERIODIC
-    offsets, dst, g_cdf, c_cdf, win, lose, value = _edge_tables(graph, config.profile)
+    offsets, dst, g_cdf, c_cdf, win, lose, value = _edge_tables(config.profile)
     rounds = (int(np.diff(offsets).max()) - 1).bit_length()
     is_terminal = offsets[:-1] == offsets[1:]
 
@@ -365,16 +357,16 @@ def _walk(config: SimulationConfig, kind: GraphKind, discount: float, checkpoint
     return result
 
 
-def _edge_tables(graph: GameGraph, profile: StrategyProfile):
+def _edge_tables(profile: StrategyProfile):
     """Flat per-edge tables in the profile's layout, and per-node payoffs.
 
     Row i of the edge tables is ``offsets[i]:offsets[i + 1]``
     (``graph.edge_offsets``): the successors of node i and the guesser's and
-    chooser's CDFs over them, each the ``np.cumsum`` of the row that
-    ``_pick`` takes, filled one degree block at a time.  ``win``/``lose``
-    are the node's multipliers and ``value`` the terminal values (0
-    elsewhere).
+    chooser's CDFs over them, each the ``np.cumsum`` of the node's row of
+    the profile, filled one degree block at a time.  ``win``/``lose`` are
+    the node's multipliers and ``value`` the terminal values (0 elsewhere).
     """
+    graph = profile.graph
     n, offsets = graph.num_nodes, graph.edge_offsets
     g_cdf, c_cdf = np.empty(offsets[-1]), np.empty(offsets[-1])
     win, lose, value = np.ones(n), np.ones(n), np.zeros(n)
@@ -387,12 +379,12 @@ def _edge_tables(graph: GameGraph, profile: StrategyProfile):
 
 
 def _bisect(cdf: np.ndarray, first: np.ndarray, last: np.ndarray, u: np.ndarray, rounds: int):
-    """Per replication, the edge of row [first, last] that ``_pick`` takes for u.
+    """Per replication, the edge of CDF row [first, last] that u picks.
 
     A CDF row is nondecreasing, so the count of its entries <= u in [first,
     last), which the halvings of [lo, hi) find, equals searchsorted(side="right")
     over the whole row capped at degree - 1.  ``rounds`` is the bit length of
-    d_max - 1; shorter rows idle once lo == hi.
+    d_max - 1; shorter rows idle once lo == hi.  Scalars pick for one game.
     """
     lo, hi = first, last
     for _ in range(rounds):
@@ -425,12 +417,7 @@ class ExploitReport:
     converged: bool
 
 
-def exploit_search(
-    graph: GameGraph,
-    solution: GameSolution,
-    fixed_side: str,
-    profile: StrategyProfile,
-) -> ExploitReport:
+def exploit_search(profile: StrategyProfile, fixed_side: str) -> ExploitReport:
     """Search pure positional deviations against one side's fixed strategy.
 
     Uses exact expectation recursion (no sampling): Jacobi sweeps, each
@@ -442,14 +429,13 @@ def exploit_search(
     her whole fortune on one successor, which ``_best_reply`` finds
     exactly.  ``deviation`` holds the last sweep's actions.  The fixed side
     plays ``profile``, which may be off equilibrium; the gain is always
-    reported relative to the game value.
+    reported relative to the value of the solution it was built from.
     """
     if fixed_side not in ("chooser", "guesser"):
         raise ValueError("fixed_side must be 'chooser' or 'guesser'")
+    solution, graph = profile.solution, profile.graph
     if not solution.graph_class.is_terminating:
         raise UnsupportedGraphError("exploit search requires a terminating graph")
-    if not profile.matches(graph):
-        raise ValueError("strategy profile does not match the graph")
     guesser_held = fixed_side == "guesser"
     mix = profile.guesser if guesser_held else profile.chooser
     blocks = [

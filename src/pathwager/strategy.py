@@ -17,6 +17,8 @@ layout of ``GameGraph.edge_offsets`` (node i's edges are
 wagers as one per-node array.  ``build_profile`` computes them per
 ``GameGraph.degree_blocks`` entry, one m x d array pass per out-degree d,
 and scatters each block into the arrays through the block's edge indices.
+A profile keeps the solution it was built from, and through it the graph, so
+every consumer takes the profile alone.
 """
 
 from __future__ import annotations
@@ -38,25 +40,35 @@ class StrategyError(ValueError):
 
 @dataclass
 class StrategyProfile:
-    """Strategies of both players on one graph, per edge.
+    """Strategies of both players on the graph of ``solution``, per edge.
 
     ``chooser[e]`` and ``guesser[e]`` are the probabilities that the chooser
     moves along edge e and that the guesser guesses it, with edges laid out
     by ``graph.edge_offsets``; ``wagers[i]`` is the fraction of the guesser's
-    fortune wagered at node i (0 at terminal nodes).
+    fortune wagered at node i (0 at terminal nodes).  Arrays of another
+    length than the graph's edge and node counts are refused.
     """
 
+    solution: GameSolution
     beta: float
     chooser: np.ndarray
     guesser: np.ndarray
     wagers: np.ndarray
 
-    def matches(self, graph: GameGraph) -> bool:
-        """Whether the arrays have the graph's edge and node counts."""
-        edges, nodes = int(graph.edge_offsets[-1]), graph.num_nodes
-        return len(self.chooser) == len(self.guesser) == edges and len(self.wagers) == nodes
+    def __post_init__(self) -> None:
+        edges, nodes = int(self.graph.edge_offsets[-1]), self.graph.num_nodes
+        if not len(self.chooser) == len(self.guesser) == edges or len(self.wagers) != nodes:
+            raise StrategyError(
+                f"a profile of this graph needs {edges} edge and {nodes} node entries, got "
+                f"{len(self.chooser)}, {len(self.guesser)} and {len(self.wagers)}"
+            )
 
-    def to_dict(self, graph: GameGraph) -> dict:
+    @property
+    def graph(self) -> GameGraph:
+        return self.solution.graph
+
+    def to_dict(self) -> dict:
+        graph = self.graph
         offsets = graph.edge_offsets.tolist()
         chooser, guesser, wagers = self.chooser.tolist(), self.guesser.tolist(), self.wagers.tolist()
         nodes = {}
@@ -71,7 +83,7 @@ class StrategyProfile:
         return {"beta": self.beta, "nodes": nodes}
 
 
-def build_profile(solution: GameSolution, graph: GameGraph, beta: float = 1.0) -> StrategyProfile:
+def build_profile(solution: GameSolution, beta: float = 1.0) -> StrategyProfile:
     """Limiting strategy profile for a solved graph at risk parameter beta.
 
     Nodes of one out-degree d are handled together, as the rows of m x d
@@ -80,9 +92,7 @@ def build_profile(solution: GameSolution, graph: GameGraph, beta: float = 1.0) -
     """
     if not 0.0 <= beta <= 1.0:
         raise StrategyError(f"beta must lie in [0, 1], got {beta}")
-    if solution.graph != graph:
-        raise StrategyError("solution does not belong to this graph")
-    u = solution.reciprocals
+    graph, u = solution.graph, solution.reciprocals
     edge_count = graph.edge_offsets[-1]
     chooser, guesser, wagers = np.ones(edge_count), np.ones(edge_count), np.zeros(graph.num_nodes)
     errors: list[tuple[int, str]] = []
@@ -113,5 +123,5 @@ def build_profile(solution: GameSolution, graph: GameGraph, beta: float = 1.0) -
         chooser[edges], guesser[edges], wagers[nodes] = p, g, w
     if errors:
         raise StrategyError(f"guess probabilities out of range at {min(errors)[1]}")
-    return StrategyProfile(beta=float(beta), chooser=chooser, guesser=guesser, wagers=wagers)
+    return StrategyProfile(solution, float(beta), chooser, guesser, wagers)
 

@@ -119,20 +119,6 @@ class GameSolution:
         return doc
 
 
-@dataclass
-class TruncationSeries:
-    """Reciprocal values of the depth-limited game, step by step.
-
-    ``vectors[s]`` holds the reciprocal values of the game stopped after s
-    steps; ``residuals[s]`` is the sup-norm distance to the limiting
-    reciprocal values.
-    """
-
-    steps: int
-    vectors: list[np.ndarray]
-    residuals: np.ndarray
-
-
 def build_propagation_matrix(graph: GameGraph) -> PropagationMatrix:
     """Dense propagation matrix of a supported graph (terminal self-loops added here)."""
     cls = classify(graph)
@@ -388,13 +374,14 @@ def solve(graph: GameGraph, exact: bool = False) -> GameSolution:
     raise UnsupportedGraphError(cls.reason)
 
 
-def _truncation_series(solution: GameSolution, steps: int) -> TruncationSeries:
-    """Reciprocal values of the s-step games for s = 0..steps.
+def _truncation_series(solution: GameSolution, steps: int) -> np.ndarray:
+    """Sup-norm distances of the s-step games' reciprocal values to the limit, s = 0..steps.
 
     Terminating graphs iterate u_{s+1} = M u_s from the leaf vector (ones on
     non-terminal nodes, pre-assigned reciprocals on terminals), where M's
     terminal rows are the identity's; strongly connected graphs iterate the
-    discount-scaled form (1/r) M from all-ones.
+    discount-scaled form (1/r) M from all-ones.  Each residual is taken as
+    its step is made, so one vector is held at a time.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -404,9 +391,9 @@ def _truncation_series(solution: GameSolution, steps: int) -> TruncationSeries:
     u = np.ones(graph.num_nodes)
     u[terminal] = [1.0 / graph.values[i] for i in graph.terminals]
     scale = 1.0 if solution.spectral is None else 1.0 / solution.spectral.radius
-    vectors = [u]
-    for _ in range(steps):
-        u = np.where(terminal, u, scale * matvec(u))  # a new array each step
-        vectors.append(u)
-    residuals = np.abs(np.array(vectors) - limit).max(axis=1)
-    return TruncationSeries(steps=steps, vectors=vectors, residuals=residuals)
+    residuals = np.empty(steps + 1)
+    residuals[0] = np.abs(u - limit).max()
+    for s in range(1, steps + 1):
+        u = np.where(terminal, u, scale * matvec(u))
+        residuals[s] = np.abs(u - limit).max()
+    return residuals

@@ -6,7 +6,7 @@ value, and against the chooser's mix no (guess, wager) pair beats it.  Both
 deviation searches are exact: the guesser's payoff is linear in her wager,
 so her best reply stakes everything on one successor, and no wager grid is
 searched.  ``certify_graph`` runs them on every terminating graph, fans
-included.  Small terminating games are additionally bracketed by
+included, taking the solution alone.  Small terminating games are additionally bracketed by
 depth-limited backward induction that is entirely independent of the
 linear-algebra solvers, and ``audit_convergence`` audits the limit theory by
 raising the propagation matrix to a high power: on a terminating graph it
@@ -242,7 +242,6 @@ def _matrix_power(m: np.ndarray, steps: int) -> np.ndarray:
 
 
 def certify_graph(
-    graph: GameGraph,
     solution: GameSolution,
     betas: Sequence[float] = (0.0, 0.5, 1.0),
     depth: int = 60,
@@ -251,10 +250,13 @@ def certify_graph(
 
     Runs the convergence audit, both-sided deviation searches (terminating
     graphs) against the one profile built for each beta, and the
-    backward-induction bracket on small graphs.  A beta's deviation check
-    passes only when both searches converged and neither side gains.
+    backward-induction bracket on small graphs.  The chooser's mix does not
+    depend on beta, so the guesser's deviation search runs once, against the
+    first profile, and its report serves every beta.  A beta's deviation
+    check passes only when both searches converged and neither side gains.
     """
     _check_depth(depth)  # before the audit, on every graph class
+    graph = solution.graph
     checks: list[CheckResult] = []
     max_c = max_g = 0.0
 
@@ -263,10 +265,11 @@ def certify_graph(
     residual = audit.residual
 
     if solution.graph_class.is_terminating and graph.nonterminals:
+        dev_g = None
         for beta in betas:
-            profile = build_profile(solution, graph, beta=beta)
-            dev_c = exploit_search(graph, solution, fixed_side="guesser", profile=profile)
-            dev_g = exploit_search(graph, solution, fixed_side="chooser", profile=profile)
+            profile = build_profile(solution, beta=beta)
+            dev_c = exploit_search(profile, fixed_side="guesser")
+            dev_g = dev_g or exploit_search(profile, fixed_side="chooser")
             max_c = max(max_c, dev_c.gain)
             max_g = max(max_g, dev_g.gain)
             converged = dev_c.converged and dev_g.converged

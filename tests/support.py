@@ -18,8 +18,9 @@ and deviation sweeps, the dict-of-rows profile renderings and play loop the
 library's per-edge profile arrays, the dense transition matrix the per-edge
 chooser probabilities, the two-walk stopping analysis the library's single
 component walk, the per-cell CSV loops the library's row formats, and the
-per-step walk the step kernel's block-at-a-time Philox draws, and the
-full-matrix power audit the library's transient-block power.
+per-step walk the step kernel's block-at-a-time Philox draws, the
+full-matrix power audit the library's transient-block power, and the
+searchsorted pick the step kernel's bisection.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from pathwager.simulate import (
     _bisect,
     _edge_tables,
     _multipliers,
-    _pick,
     step_uniforms,
 )
 from pathwager.values import _component_block, _truncation_series, build_propagation_matrix
@@ -74,8 +74,7 @@ class Entry:
 
 
 def _converges_fast(graph: GameGraph) -> bool:
-    series = _truncation_series(solve(graph), 400)
-    res = series.residuals
+    res = _truncation_series(solve(graph), 400)
     if res[200] > 1e-9 or res[400] > 1e-10:
         return False
     settle = 25
@@ -84,13 +83,29 @@ def _converges_fast(graph: GameGraph) -> bool:
     # absorption must also be fast (the value residual is blind to it on
     # fair graphs, where the series starts at the fixed point)
     if classify(graph).is_terminating and graph.nonterminals:
-        stats = stopping_analysis(solve(graph), graph, t_max=500)
+        stats = stopping_analysis(solve(graph), t_max=500)
         if stats.tail_mass.max() > 1e-10:
             return False
         partial = stats.stop_dist.T @ np.arange(1.0, 501.0)
         if np.abs(partial - stats.tau).max() > 1e-9:
             return False
     return True
+
+
+def stacked_truncation_residuals(solution, steps: int) -> np.ndarray:
+    """``values._truncation_series`` as it was first written: every vector of
+    the series kept, stacked, and compared with the limit at the end."""
+    graph = solution.graph
+    terminal = np.diff(graph.edge_offsets) == 0
+    u = np.ones(graph.num_nodes)
+    u[terminal] = [1.0 / graph.values[i] for i in graph.terminals]
+    scale = 1.0 if solution.spectral is None else 1.0 / solution.spectral.radius
+    vectors = [u]
+    for _ in range(steps):
+        u = np.where(terminal, u, scale * np.bincount(
+            graph.sources, weights=graph.weights * u[graph.targets], minlength=graph.num_nodes))
+        vectors.append(u)
+    return np.abs(np.array(vectors) - solution.reciprocals).max(axis=1)
 
 
 def _random_fan(rng: random.Random, tag: int) -> Entry:
@@ -430,11 +445,11 @@ def random_automata(count: int, seed: int) -> list[list[dict[str, int]]]:
 # 1001-point wager sweeps it replaced, kept to compare the closed forms with.
 
 
-def grid_exploit_search(graph: GameGraph, solution, fixed_side: str, beta: float,
+def grid_exploit_search(solution, fixed_side: str, beta: float,
                         grid: int = 1001) -> tuple[np.ndarray, float, bool]:
     """(values, gain, converged) of ``exploit_search``, with the guesser's
     wager searched over ``grid`` evenly spaced points of [0, 1]."""
-    profile = build_profile(solution, graph, beta=beta)
+    graph, profile = solution.graph, build_profile(solution, beta=beta)
     offsets = graph.edge_offsets
     wagers = np.linspace(0.0, 1.0, grid)
     values = solution.values.copy()
@@ -530,9 +545,9 @@ class ProfileRows:
     wagers: dict
 
 
-def loop_profile_rows(solution, graph: GameGraph, beta: float = 1.0) -> ProfileRows:
+def loop_profile_rows(solution, beta: float = 1.0) -> ProfileRows:
     """``build_profile``'s strategies, one node at a time, as rows."""
-    u = solution.reciprocals
+    graph, u = solution.graph, solution.reciprocals
     chooser, guesser, wagers = {}, {}, {}
     for i in graph.nonterminals:
         succ = graph.successors[i]
@@ -558,12 +573,13 @@ def loop_profile_rows(solution, graph: GameGraph, beta: float = 1.0) -> ProfileR
     return ProfileRows(float(beta), chooser, guesser, wagers)
 
 
-def flat_profile(graph: GameGraph, rows: ProfileRows) -> StrategyProfile:
+def flat_profile(solution, rows: ProfileRows) -> StrategyProfile:
     """The rows laid out per edge, node after node; terminal nodes wager 0."""
-    nodes = graph.nonterminals
-    wagers = np.zeros(graph.num_nodes)
+    nodes = solution.graph.nonterminals
+    wagers = np.zeros(solution.graph.num_nodes)
     wagers[list(nodes)] = [rows.wagers[i] for i in nodes]
     return StrategyProfile(
+        solution,
         beta=rows.beta,
         chooser=np.concatenate([rows.chooser[i] for i in nodes] or [np.empty(0)]),
         guesser=np.concatenate([rows.guesser[i] for i in nodes] or [np.empty(0)]),
@@ -571,13 +587,14 @@ def flat_profile(graph: GameGraph, rows: ProfileRows) -> StrategyProfile:
     )
 
 
-def loop_build_profile(solution, graph: GameGraph, beta: float = 1.0) -> StrategyProfile:
+def loop_build_profile(solution, beta: float = 1.0) -> StrategyProfile:
     """``build_profile``, one node at a time."""
-    return flat_profile(graph, loop_profile_rows(solution, graph, beta))
+    return flat_profile(solution, loop_profile_rows(solution, beta))
 
 
-def node_rows(graph: GameGraph, profile: StrategyProfile) -> ProfileRows:
+def node_rows(profile: StrategyProfile) -> ProfileRows:
     """A flat profile cut into its nodes' rows, at offsets counted here."""
+    graph = profile.graph
     chooser, guesser, wagers, start = {}, {}, {}, 0
     for i in graph.nonterminals:
         end = start + len(graph.successors[i])
@@ -624,6 +641,14 @@ def rows_to_dot(g: GameGraph, rows: ProfileRows) -> str:
     return "\n".join(lines)
 
 
+def searchsorted_pick(probs: np.ndarray, u: float) -> int:
+    """The successor index u picks from a row of probabilities: the count of
+    CDF entries <= u, capped at degree - 1 (a CDF that ends below u by
+    rounding picks the last successor).  ``simulate._bisect`` finds it."""
+    cdf = np.cumsum(probs)
+    return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
+
+
 def human_move(labels: list[str]) -> str:
     """The first label that ``play_repl`` does not read as quitting, else "quit"."""
     return next((lab for lab in labels if lab.lower() not in ("q", "quit", "exit")), "quit")
@@ -644,9 +669,9 @@ def rows_play(graph: GameGraph, rows: ProfileRows, human_side: str, seed: int,
             break
         if human_side == "guesser":
             wager, guess = 0.5, graph.index_of(move)
-            choice = succ[_pick(rows.chooser[node], u_choice)]
+            choice = succ[searchsorted_pick(rows.chooser[node], u_choice)]
         else:
-            wager, guess = rows.wagers[node], succ[_pick(rows.guesser[node], u_guess)]
+            wager, guess = rows.wagers[node], succ[searchsorted_pick(rows.guesser[node], u_guess)]
             choice = graph.index_of(move)
         win, lose = _multipliers(len(succ), wager)
         mult = win if guess == choice else lose
@@ -661,13 +686,14 @@ def rows_play(graph: GameGraph, rows: ProfileRows, human_side: str, seed: int,
             "final_fortune": fortune}
 
 
-def chooser_transition_matrix(solution, graph: GameGraph) -> np.ndarray:
+def chooser_transition_matrix(solution) -> np.ndarray:
     """Markov transition matrix of the players' position under optimal play.
 
     P = V M V^{-1} with V = diag(values); terminal nodes become absorbing
     (P_kk = 1).  On strongly connected graphs the similarity is scaled by
     1/r so P is row-stochastic.
     """
+    graph = solution.graph
     p = np.zeros((graph.num_nodes, graph.num_nodes))
     p[graph.sources, graph.targets] = _edge_probabilities(solution)
     t = list(graph.terminals)
@@ -682,8 +708,9 @@ def _edge_probabilities(solution) -> np.ndarray:
     return p if solution.spectral is None else p / solution.spectral.radius
 
 
-def loop_edge_tables(graph: GameGraph, profile: StrategyProfile):
+def loop_edge_tables(profile: StrategyProfile):
     """``simulate._edge_tables``, one node at a time."""
+    graph = profile.graph
     n = graph.num_nodes
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum([len(succ) for succ in graph.successors], out=offsets[1:])
@@ -700,11 +727,10 @@ def loop_edge_tables(graph: GameGraph, profile: StrategyProfile):
     return offsets, dst, g_cdf, c_cdf, win, lose, value
 
 
-def loop_exploit_search(graph: GameGraph, solution, fixed_side: str,
-                        profile: StrategyProfile) -> tuple[ExploitReport, int]:
+def loop_exploit_search(profile: StrategyProfile, fixed_side: str) -> tuple[ExploitReport, int]:
     """``exploit_search`` against ``profile``, one node at a time, and the
     number of sweeps it ran."""
-    rows = node_rows(graph, profile)
+    solution, graph, rows = profile.solution, profile.graph, node_rows(profile)
     values = solution.values.copy()
     deviation: dict[int, object] = {}
     converged, sweeps = False, 0
@@ -755,8 +781,9 @@ def loop_brute_force_value(graph: GameGraph, depth_limit: int = 60):
     return lower, upper, False
 
 
-def two_walk_stopping(solution, graph: GameGraph, t_max: int) -> StoppingStats:
+def two_walk_stopping(solution, t_max: int) -> StoppingStats:
     """``stopping_analysis`` as two component walks, each building its own blocks."""
+    graph = solution.graph
     nt, t = list(graph.nonterminals), list(graph.terminals)
     v_nt, u = solution.values[nt], solution.reciprocals
     z = np.zeros((graph.num_nodes, 1 + len(t)))
@@ -822,7 +849,7 @@ def stepwise_walk(config, kind: GraphKind, discount: float, checkpoints: set):
     reading and writing the replications' state through ``active`` gathers."""
     graph, reps = config.graph, config.replications
     horizon = kind is GraphKind.STRONGLY_CONNECTED_APERIODIC
-    offsets, dst, g_cdf, c_cdf, win, lose, value = _edge_tables(graph, config.profile)
+    offsets, dst, g_cdf, c_cdf, win, lose, value = _edge_tables(config.profile)
     rounds = (int(np.diff(offsets).max()) - 1).bit_length()
     is_terminal = offsets[:-1] == offsets[1:]
 

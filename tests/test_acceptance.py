@@ -76,7 +76,7 @@ def test_criterion_01_fan_closed_form():
         w = 1.0 - 2 * min(probs_f)
         assert abs(w - 1 / 3) <= 1e-12
         assert abs(w - (1 - root_f / 4)) <= 1e-12
-    profile = build_profile(sol, float_fan, beta=1.0)
+    profile = build_profile(sol, beta=1.0)
     assert np.array_equal(profile.chooser, probs_f) and profile.wagers[0] == w
 
 
@@ -84,8 +84,8 @@ def test_criterion_02_deterministic_fortune():
     with criterion(2, "deterministic fortune at minimum risk", budget_s=1.0):
         g = support.full_corpus()[0].graph  # fan24
         sol = solve(g)
-        profile = build_profile(sol, g, beta=1.0)
-        result = run(SimulationConfig(graph=g, profile=profile, start=0,
+        profile = build_profile(sol, beta=1.0)
+        result = run(SimulationConfig(profile=profile, start=0,
                                       replications=10**4, seed=ACCEPTANCE_SEED))
         assert np.abs(result.final_fortunes - 8 / 3).max() <= 1e-12
 
@@ -99,7 +99,7 @@ def test_criterion_03_one_lie_family():
             g = build_window_game(n, 1)
             sol = solve(g)
             assert abs(sol.spectral.radius - lam / 2) <= 1e-10, n
-            profile = build_profile(sol, g, beta=1.0)
+            profile = build_profile(sol, beta=1.0)
             start = slice(g.edge_offsets[0], g.edge_offsets[1])  # node 0's edges
             assert abs(profile.chooser[start][0] - 1 / lam) <= 1e-10, n
             assert abs(profile.chooser[start][1] - lam**-n) <= 1e-10, n
@@ -115,12 +115,12 @@ def test_criterion_04_stopping_variant():
         for n in range(2, 11):
             g = build_stopping_variant(n)
             sol = solve(g)
-            p = chooser_transition_matrix(sol, g)
+            p = chooser_transition_matrix(sol)
             stop = g.index_of("stop")
             want = (2.0**n - 1.0) / (3.0 * (2.0 ** (n - 1) + 2.0 ** (n - 2) - 1.0))
             assert abs(p[0, stop] - want) <= 1e-10, n
         g20 = build_stopping_variant(20)
-        p20 = chooser_transition_matrix(solve(g20), g20)
+        p20 = chooser_transition_matrix(solve(g20))
         assert abs(p20[0, g20.index_of("stop")] - 4 / 9) <= 0.01
 
 
@@ -130,7 +130,7 @@ def test_criterion_05_fairness_agreement():
         assert len(entries) >= 50
         assert all(e.graph.num_nodes <= 12 for e in entries)
         for entry in entries:
-            verdict = fairness_check(solve(entry.graph), entry.graph)
+            verdict = fairness_check(solve(entry.graph))
             assert verdict.fair == verdict.value_route_fair, entry.name
 
 
@@ -142,9 +142,9 @@ def test_criterion_06_monte_carlo_consistency():
             if not g.nonterminals:
                 continue
             sol = solve(g)
-            profile = build_profile(sol, g, beta=1.0)
+            profile = build_profile(sol, beta=1.0)
             start = g.nonterminals[0]
-            result = run(SimulationConfig(graph=g, profile=profile, start=start,
+            result = run(SimulationConfig(profile=profile, start=start,
                                           replications=reps, seed=ACCEPTANCE_SEED))
             assert not result.censored.any(), entry.name
             fortunes = result.final_fortunes
@@ -152,7 +152,7 @@ def test_criterion_06_monte_carlo_consistency():
             v_start = sol.values[start]
             assert abs(fortunes.mean() - v_start) <= 3 * se_f + 1e-9 * v_start, entry.name
 
-            stats = stopping_analysis(sol, g, t_max=500)
+            stats = stopping_analysis(sol, t_max=500)
             pos = g.nonterminals.index(start)
             times = result.stopping_times.astype(float)
             se_t = times.std(ddof=1) / math.sqrt(reps)
@@ -173,12 +173,12 @@ def test_criterion_07_equilibrium_certificates():
             leaf_values = [g.values[j] for j in g.successors[root]]
             sol = solve(g)
             for beta in (0.0, 0.5, 1.0):
-                cert = certify_graph(g, sol, betas=(beta,))
+                cert = certify_graph(sol, betas=(beta,))
                 assert cert.passed, (entry.name, beta)
                 assert cert.max_chooser_gain <= 1e-9 and cert.max_guesser_gain <= 1e-9
             if len(set(leaf_values)) < 2:
                 continue
-            base = build_profile(sol, g, beta=1.0)
+            base = build_profile(sol, beta=1.0)
             for pos in range(len(leaf_values)):
                 for delta in (0.01, -0.01):
                     skew = base.chooser.copy()  # the root's row: a fan's every edge
@@ -186,9 +186,9 @@ def test_criterion_07_equilibrium_certificates():
                         continue
                     skew[pos] += delta
                     skew /= skew.sum()
-                    bad = StrategyProfile(beta=1.0, chooser=skew,
+                    bad = StrategyProfile(sol, beta=1.0, chooser=skew,
                                           guesser=base.guesser, wagers=base.wagers)
-                    report = exploit_search(g, sol, fixed_side="chooser", profile=bad)
+                    report = exploit_search(bad, fixed_side="chooser")
                     assert report.gain > 1e-4, (entry.name, pos, delta)
 
 

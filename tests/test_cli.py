@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -451,6 +452,16 @@ def test_play_repl_zero_wager_guesser_keeps_fortune():
     assert transcript["rounds"][0]["wager"] == 0.0
 
 
+def test_play_repl_builds_the_step_tables_once(monkeypatch):
+    g = build_graph(["r", "s", "a", "b"], [("r", "s"), ("r", "a"), ("s", "r"), ("s", "b")],
+                    {"a": 2, "b": 4})
+    calls = _count_calls(monkeypatch, "_edge_tables", [pathwager.cli])
+    transcript = play_repl(g, "chooser", seed=2, in_stream=io.StringIO("s\nr\ns\nb\n"),
+                           out_stream=io.StringIO())
+    assert [r["move"] for r in transcript["rounds"]] == ["s", "r", "s", "b"]
+    assert len(calls) == 1
+
+
 def test_play_repl_reprompts_on_illegal_input():
     g = build_graph(["root", "a", "b"], [("root", "a"), ("root", "b")], {"a": 2, "b": 4})
     out = io.StringIO()
@@ -547,12 +558,23 @@ def test_an_oversized_cyclic_component_is_an_input_error(tmp_path, capsys):
             "solve, over the budget of 1073741824 bytes\n"), command
 
 
+def test_the_readme_library_example_runs_as_written(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(code, namespace)
+    sol, summary = namespace["sol"], namespace["result"].summary()
+    assert summary["discount"] == sol.spectral.radius and summary["horizon"] == 100
+    assert summary["replications"] == 10**5
+    assert capsys.readouterr().out == f"{summary}\n"
+
+
 def test_the_public_surface_is_pinned():
     assert pathwager.__all__ == [
         "ConvergenceError", "ExploitReport", "FairnessVerdict", "GameGraph",
         "GameSolution", "Gn1Reference", "GraphClass", "GraphError", "GraphKind", "MarkovReport",
         "OracleSpec", "PropagationMatrix", "SimulationConfig", "SimulationResult", "SpectralData",
-        "StepRng", "StrategyError", "StrategyProfile", "TruncationSeries",
+        "StepRng", "StrategyError", "StrategyProfile",
         "UnsupportedGraphError", "analyze", "aperiodicity_gcd", "build_forbidden_pattern_game",
         "build_graph", "build_profile", "build_propagation_matrix", "build_stopping_variant",
         "build_window_game", "classify", "exploit_search", "fairness_check", "gn1_reference",

@@ -131,13 +131,13 @@ def test_blocked_profiles_match_the_loops():
     for name, g, sol in _games():
         for beta in BETAS:
             try:
-                want = support.loop_build_profile(sol, g, beta)
+                want = support.loop_build_profile(sol, beta)
             except StrategyError as exc:
                 with pytest.raises(StrategyError) as got:
-                    build_profile(sol, g, beta=beta)
+                    build_profile(sol, beta=beta)
                 assert str(got.value) == str(exc), (name, beta)
                 continue
-            assert _same_profile(build_profile(sol, g, beta=beta), want), (name, beta)
+            assert _same_profile(build_profile(sol, beta=beta), want), (name, beta)
 
 
 def test_blocked_edge_tables_match_the_loops():
@@ -145,19 +145,19 @@ def test_blocked_edge_tables_match_the_loops():
         if not g.nonterminals:
             continue
         for beta in BETAS:
-            profile = build_profile(sol, g, beta=beta)
-            got, want = _edge_tables(g, profile), support.loop_edge_tables(g, profile)
+            profile = build_profile(sol, beta=beta)
+            got, want = _edge_tables(profile), support.loop_edge_tables(profile)
             assert all(_same_arrays(a, b) for a, b in zip(got, want)), (name, beta)
 
 
 def test_blocked_exploit_search_matches_the_loops():
     for name, g, sol in _terminating():
         for beta in BETAS:
-            profile = build_profile(sol, g, beta=beta)
+            profile = build_profile(sol, beta=beta)
             for side in ("guesser", "chooser"):
-                want, _ = support.loop_exploit_search(g, sol, side, profile)
+                want, _ = support.loop_exploit_search(profile, side)
                 assert want.converged, (name, beta, side)
-                got = exploit_search(g, sol, fixed_side=side, profile=profile)
+                got = exploit_search(profile, fixed_side=side)
                 assert _same_report(got, want), (name, beta, side)
 
 
@@ -171,15 +171,17 @@ def test_blocked_brackets_match_the_loops():
         assert bounds.converged == converged, name
 
 
-def _off_equilibrium(g, profile: StrategyProfile, t: float) -> StrategyProfile:
+def _off_equilibrium(profile: StrategyProfile, t: float) -> StrategyProfile:
     """The chooser leans toward her first successor and the guesser toward the
     uniform guess, each by t; the wagers shrink by the factor 1 - t."""
+    g = profile.graph
     degree = np.diff(g.edge_offsets)
     first = np.zeros(len(profile.chooser))
     first[g.edge_offsets[:-1][degree > 0]] = 1.0
     chooser = (1 - t) * profile.chooser + t * first
     guesser = (1 - t) * profile.guesser + t / np.repeat(degree, degree)
-    return StrategyProfile(profile.beta, chooser, guesser, (1 - t) * profile.wagers)
+    return StrategyProfile(profile.solution, profile.beta, chooser, guesser,
+                           (1 - t) * profile.wagers)
 
 
 def test_off_equilibrium_sweeps_match_the_loops():
@@ -189,10 +191,10 @@ def test_off_equilibrium_sweeps_match_the_loops():
         if name not in names:
             continue
         for t in (0.01, 0.5):
-            profile = _off_equilibrium(g, build_profile(sol, g, beta=0.5), t)
+            profile = _off_equilibrium(build_profile(sol, beta=0.5), t)
             for side in ("guesser", "chooser"):
-                want, count = support.loop_exploit_search(g, sol, side, profile)
-                got = exploit_search(g, sol, fixed_side=side, profile=profile)
+                want, count = support.loop_exploit_search(profile, side)
+                got = exploit_search(profile, fixed_side=side)
                 assert _same_report(got, want), (name, t, side)
                 if want.converged:
                     sweeps.append(count)
@@ -217,12 +219,12 @@ def test_zero_wager_rows_raise_nothing_and_guess_uniformly():
     x, y = g.index_of("x"), g.index_of("y")
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        profile = build_profile(sol, g, beta=1.0)
-        tables = _edge_tables(g, profile)
+        profile = build_profile(sol, beta=1.0)
+        tables = _edge_tables(profile)
     assert profile.wagers[x] == 0.0 and profile.wagers[y] > 0.0
     assert profile.guesser[g.edge_offsets[x]:g.edge_offsets[x + 1]].tolist() == [1 / 3] * 3
-    assert _same_profile(profile, support.loop_build_profile(sol, g, 1.0))
-    assert all(_same_arrays(a, b) for a, b in zip(tables, support.loop_edge_tables(g, profile)))
+    assert _same_profile(profile, support.loop_build_profile(sol, 1.0))
+    assert all(_same_arrays(a, b) for a, b in zip(tables, support.loop_edge_tables(profile)))
 
 
 def test_clamp_error_names_the_lowest_offending_node():
@@ -235,9 +237,9 @@ def test_clamp_error_names_the_lowest_offending_node():
     for u_s, node in ((-1.0, "a"), (1.0, "b")):
         fake = types.SimpleNamespace(graph=g, reciprocals=np.array([1, 1, 1, u_s, 2, 1, -1, 2.0]))
         with pytest.raises(StrategyError) as want:
-            support.loop_build_profile(fake, g, 0.5)
+            support.loop_build_profile(fake, 0.5)
         with pytest.raises(StrategyError) as got:
-            build_profile(fake, g, beta=0.5)
+            build_profile(fake, beta=0.5)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"guess probabilities out of range at node {node!r}: [")
 
@@ -261,11 +263,11 @@ def test_per_edge_profiles_render_and_play_as_the_rows():
     for name, g, sol in _games():
         for beta in BETAS:
             try:
-                rows = support.loop_profile_rows(sol, g, beta)
+                rows = support.loop_profile_rows(sol, beta)
             except StrategyError:  # the same refusal as build_profile's, pinned above
                 continue
-            profile = build_profile(sol, g, beta=beta)
-            assert _dumps(profile.to_dict(g)) == _dumps(support.rows_to_dict(g, rows)), name
+            profile = build_profile(sol, beta=beta)
+            assert _dumps(profile.to_dict()) == _dumps(support.rows_to_dict(g, rows)), name
             assert to_dot(g, profile) == support.rows_to_dot(g, rows), (name, beta)
             if not g.nonterminals or beta not in (0.5, 1.0):  # play solves on each call
                 continue
@@ -283,7 +285,7 @@ def test_strategy_and_export_dot_print_the_rows(tmp_path, capsys):
         path.write_text(serialize_graph(g))
         for beta in (0.0, 1.0):
             try:
-                rows = support.loop_profile_rows(sol, g, beta)
+                rows = support.loop_profile_rows(sol, beta)
             except StrategyError:
                 continue
             # the report is the rows' document with the manifest appended

@@ -279,7 +279,7 @@ def test_to_dot_plain_and_with_profile():
     assert dot.count("->") == 2
     assert "doublecircle" in dot
 
-    profile = build_profile(solve(g), g, beta=0.0)
+    profile = build_profile(solve(g), beta=0.0)
     annotated = to_dot(g, profile)
     assert "p=0.5" in annotated
     assert "w=" in annotated
@@ -288,9 +288,13 @@ def test_to_dot_plain_and_with_profile():
 def test_to_dot_rejects_mismatched_profile():
     g = parse_graph(MINIMAL_FAN)
     other = build_graph(["r", "x"], [("r", "x")], {"x": 1})
-    profile = build_profile(solve(other), other)
-    with pytest.raises(GraphError):
-        to_dot(g, profile)
+    # a fan of g's shape and labels whose terminal values differ: same array lengths
+    twin = build_graph(list(g.labels), [(g.labels[i], g.labels[j]) for i, j in g.edges()],
+                       {g.labels[k]: 3 for k in g.terminals})
+    for graph in (other, twin):
+        with pytest.raises(GraphError, match="strategy profile does not match the graph"):
+            to_dot(g, build_profile(solve(graph)))
+    assert to_dot(twin, build_profile(solve(twin))).count("->") == 2
 
 
 def test_to_dot_stopping_variant_styles_terminal():

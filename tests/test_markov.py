@@ -32,7 +32,7 @@ PHI = (1 + math.sqrt(5)) / 2
 def test_fan_one_step_statistics():
     g = build_graph(["root", "a", "b"], [("root", "a"), ("root", "b")], {"a": 2, "b": 4})
     sol = solve(g)
-    stats = stopping_analysis(sol, g, t_max=10)
+    stats = stopping_analysis(sol, t_max=10)
     assert abs(stats.tau[0] - 1.0) < 1e-14
     assert abs(stats.stop_dist[0, 0] - 1.0) < 1e-14
     assert np.abs(stats.stop_dist[1:]).max() < 1e-14
@@ -43,7 +43,7 @@ def test_fan_one_step_statistics():
 def test_loop_graph_geometric_stopping():
     g = build_graph(["1", "t"], [("1", "1"), ("1", "t")], {"t": 1})
     sol = solve(g)
-    stats = stopping_analysis(sol, g, t_max=40)
+    stats = stopping_analysis(sol, t_max=40)
     assert abs(stats.tau[0] - 2.0) < 1e-12
     for t in range(1, 21):
         assert abs(stats.stop_dist[t - 1, 0] - 2.0**-t) < 1e-14
@@ -55,7 +55,7 @@ def test_stopping_identities_on_corpus(terminating_corpus):
         if not g.nonterminals:
             continue
         sol = solve(g)
-        stats = stopping_analysis(sol, g, t_max=500)
+        stats = stopping_analysis(sol, t_max=500)
         assert np.abs(stats.terminal_probs.sum(axis=1) - 1).max() <= 1e-10, entry.name
         t_grid = np.arange(1, 501)
         partial = stats.stop_dist.T @ t_grid.astype(float)
@@ -108,7 +108,7 @@ def test_stopping_analysis_matches_dense_reference(terminating_corpus):
         graphs.append((f"chained_{k}", g))
     for name, g in graphs:
         sol = solve(g)
-        stats = stopping_analysis(sol, g, t_max=60)
+        stats = stopping_analysis(sol, t_max=60)
         tau, rho, q = _dense_stopping(g, sol, 60)
         for got, want in ((stats.tau, tau), (stats.terminal_probs, rho), (stats.stop_dist, q)):
             assert got.shape == want.shape, name
@@ -128,9 +128,9 @@ def test_stopping_analysis_builds_each_block_once(monkeypatch):
         g = build_stopping_variant(n)
         sol = solve(g)
         calls.clear()
-        stats = stopping_analysis(sol, g, t_max=60)
+        stats = stopping_analysis(sol, t_max=60)
         assert calls == [c for c in g.components if g.is_cyclic(c)] and calls, n
-        ref = support.two_walk_stopping(sol, g, 60)  # builds every block twice
+        ref = support.two_walk_stopping(sol, 60)  # builds every block twice
         for field in ("tau", "stop_dist", "terminal_probs", "tail_mass"):
             got, want = getattr(stats, field), getattr(ref, field)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, field)
@@ -148,7 +148,7 @@ def test_stopping_analysis_forms_no_dense_matrix():
     sol = solve(g)
     tracemalloc.start()
     try:
-        stats = stopping_analysis(sol, g, t_max=50)
+        stats = stopping_analysis(sol, t_max=50)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -161,27 +161,27 @@ def test_stopping_analysis_validates_tmax():
     g = build_graph(["r", "a"], [("r", "a")], {"a": 1})
     sol = solve(g)
     with pytest.raises(ValueError):
-        stopping_analysis(sol, g, t_max=0)
+        stopping_analysis(sol, t_max=0)
 
 
 def test_fairness_examples():
     fair_fan = build_graph(["root", "a", "b"], [("root", "a"), ("root", "b")],
                            {"a": 1, "b": 1})
-    verdict = fairness_check(solve(fair_fan), fair_fan)
+    verdict = fairness_check(solve(fair_fan))
     assert verdict.fair and verdict.value_route_fair
 
     chain = build_graph(["r", "m", "l"], [("r", "m"), ("m", "l")], {"l": 1})
-    verdict = fairness_check(solve(chain), chain)
+    verdict = fairness_check(solve(chain))
     assert not verdict.fair and "out-degree 1" in verdict.reason
     assert "'r'" in verdict.reason or "'m'" in verdict.reason
 
     offvalue = build_graph(["root", "a", "b"], [("root", "a"), ("root", "b")],
                            {"a": 1, "b": 2})
-    verdict = fairness_check(solve(offvalue), offvalue)
+    verdict = fairness_check(solve(offvalue))
     assert not verdict.fair and "value" in verdict.reason
 
     window = build_window_game(3, 1)
-    verdict = fairness_check(solve(window), window)
+    verdict = fairness_check(solve(window))
     assert not verdict.fair
     sol = solve(window)
     assert sol.spectral.radius < 1.0 - 1e-6  # fortune grows without bound
@@ -189,7 +189,7 @@ def test_fairness_examples():
 
 def test_fairness_two_routes_agree(corpus):
     for entry in corpus:
-        verdict = fairness_check(solve(entry.graph), entry.graph)
+        verdict = fairness_check(solve(entry.graph))
         assert verdict.fair == verdict.value_route_fair, entry.name
 
 
@@ -265,7 +265,7 @@ def test_steady_state_shape():
 def test_analyze_report_shapes():
     term = build_graph(["1", "t"], [("1", "1"), ("1", "t")], {"t": 1})
     report = analyze(solve(term), t_max=64)
-    doc = report.to_dict(term)
+    doc = report.to_dict()
     # out-degree 2 (loop + exit) with value 1: fair
     assert doc["fair"] is True
     assert abs(doc["expected_stopping_times"]["1"] - 2.0) < 1e-12
@@ -273,7 +273,7 @@ def test_analyze_report_shapes():
 
     window = build_window_game(2, 1)
     report = analyze(solve(window))
-    doc = report.to_dict(window)
+    doc = report.to_dict()
     assert "invariant_measure" in doc and "steady_fortune_shape" in doc
 
 

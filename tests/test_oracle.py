@@ -145,7 +145,7 @@ def test_stopping_variant_structure_and_probabilities():
     # no stop move from the just-lied node
     assert stop not in g.successors[1]
     sol = solve(g)
-    p = chooser_transition_matrix(sol, g)
+    p = chooser_transition_matrix(sol)
     assert abs(p[0, stop] - 7 / 15) < 1e-12
     assert p[1, stop] == 0.0
     assert abs(p[2, stop] - 7 / 12) < 1e-12
@@ -175,7 +175,7 @@ def test_stopping_variant_matches_formula():
     for n in range(2, 11):
         g = build_stopping_variant(n)
         sol = solve(g)
-        p = chooser_transition_matrix(sol, g)
+        p = chooser_transition_matrix(sol)
         stop = g.index_of("stop")
         for i in range(1, n + 1):
             want = stop_probability_formula(n, i)
@@ -185,7 +185,7 @@ def test_stopping_variant_matches_formula():
 def test_stopping_probability_limit():
     g = build_stopping_variant(20)
     sol = solve(g)
-    p = chooser_transition_matrix(sol, g)
+    p = chooser_transition_matrix(sol)
     assert abs(p[0, g.index_of("stop")] - 4 / 9) < 0.01
 
 
@@ -222,7 +222,7 @@ def test_solver_reproduces_reference_family():
         sol = solve(g)
         ref = gn1_reference(n)
         assert abs(sol.spectral.radius - ref.radius) < 1e-10, n
-        profile = build_profile(sol, g, beta=1.0)
+        profile = build_profile(sol, beta=1.0)
         start = slice(g.edge_offsets[0], g.edge_offsets[1])  # node 0's edges
         assert abs(profile.chooser[start][0] - ref.truth_prob) < 1e-10, n
         assert abs(profile.chooser[start][1] - ref.lie_prob) < 1e-10, n

@@ -168,8 +168,8 @@ def test_reports_without_the_c_encoder(graph_files):
     with without_c_encoder():
         for name, graph, _ in graph_files[::5]:
             solution = pathwager.solve(graph)
-            for doc in (solution.to_dict(), analyze(solution, t_max=20).to_dict(graph),
-                        pathwager.build_profile(solution, graph, beta=0.5).to_dict(graph),
+            for doc in (solution.to_dict(), analyze(solution, t_max=20).to_dict(),
+                        pathwager.build_profile(solution, beta=0.5).to_dict(),
                         graph.to_dict()):
                 assert _dumps(doc) == reference(doc), name
 

@@ -27,7 +27,7 @@ from pathwager import (
 )
 from pathwager import simulate
 from pathwager.graph import GraphKind, classify
-from pathwager.simulate import _best_reply, _philox_block
+from pathwager.simulate import _best_reply, _bisect, _edge_tables, _philox_block
 
 
 def fan(values):
@@ -41,11 +41,10 @@ def fan(values):
 
 def optimal_config(graph, beta=1.0, **kwargs):
     sol = solve(graph)
-    profile = build_profile(sol, graph, beta=beta)
-    defaults = dict(graph=graph, profile=profile, start=graph.nonterminals[0] if graph.nonterminals else 0,
+    profile = build_profile(sol, beta=beta)
+    defaults = dict(profile=profile, start=graph.nonterminals[0] if graph.nonterminals else 0,
                     replications=1000, seed=7)
     if sol.spectral is not None:
-        defaults["discount"] = sol.spectral.radius
         defaults["max_steps"] = 200
     defaults.update(kwargs)
     return SimulationConfig(**defaults), sol
@@ -79,27 +78,27 @@ def test_stream_is_counter_based():
 def test_play_step_payoffs():
     # forced move with full wager doubles
     chain = build_graph(["r", "m", "t"], [("r", "m"), ("m", "t")], {"t": 5})
-    profile = build_profile(solve(chain), chain)
-    node, fortune = play_step(chain, profile, 0, 1.0, StepRng(seed=0))
+    profile = build_profile(solve(chain))
+    node, fortune = play_step(profile, 0, 1.0, StepRng(seed=0))
     assert node == 1 and fortune == 2.0
     # last hop multiplies by the terminal value
-    node, fortune = play_step(chain, profile, 1, 2.0, StepRng(seed=0, step=1))
+    node, fortune = play_step(profile, 1, 2.0, StepRng(seed=0, step=1))
     assert node == 2 and fortune == 4.0 * 5
 
     # zero wager leaves the fortune unchanged
     g = fan([1, 1])
-    profile = build_profile(solve(g), g, beta=1.0)
+    profile = build_profile(solve(g), beta=1.0)
     assert profile.wagers[0] == 0.0
-    _, fortune = play_step(g, profile, 0, 3.0, StepRng(seed=1))
+    _, fortune = play_step(profile, 0, 3.0, StepRng(seed=1))
     assert fortune == 3.0  # terminal value is 1
 
 
 def test_play_step_deterministic_fortune_fan24():
     g = fan([2, 4])
-    profile = build_profile(solve(g), g, beta=1.0)
+    profile = build_profile(solve(g), beta=1.0)
     seen = set()
     for rep in range(200):
-        node, fortune = play_step(g, profile, 0, 1.0, StepRng(seed=3, rep=rep))
+        node, fortune = play_step(profile, 0, 1.0, StepRng(seed=3, rep=rep))
         seen.add(node)
         assert abs(fortune - 8 / 3) < 1e-12
     assert seen == {1, 2}  # both choices occur, same payoff either way
@@ -112,9 +111,34 @@ def scalar_walk(config, rep):
     rng = StepRng(seed=config.seed, rep=rep)
     node, fortune, nodes = config.start, 1.0, []
     while not g.is_terminal(node) and rng.step < config.max_steps:
-        node, fortune = play_step(g, config.profile, node, fortune, rng)
+        node, fortune = play_step(config.profile, node, fortune, rng)
         nodes.append(node)
     return nodes, fortune
+
+
+def test_bisection_takes_the_searchsorted_pick(corpus):
+    rng = np.random.default_rng(25)
+    for entry in corpus:
+        for beta in (0.0, 1.0):
+            profile = build_profile(solve(entry.graph), beta=beta)
+            offsets, _, g_cdf, c_cdf, *_ = _edge_tables(profile)
+            for node in entry.graph.nonterminals:
+                first, last = offsets[node], offsets[node + 1] - 1
+                rounds = int(last - first).bit_length()
+                for cdf, probs in ((g_cdf, profile.guesser), (c_cdf, profile.chooser)):
+                    row = cdf[first:last + 1]
+                    for u in [0.0, *row, *np.nextafter(row, 0.0), *rng.random(8)]:
+                        want = first + support.searchsorted_pick(probs[first:last + 1], u)
+                        assert _bisect(cdf, first, last, u, rounds) == want, (entry.name, node, u)
+    # a row whose CDF ends below u picks its last edge, also on a row
+    # shorter than the longest, whose bisection idles for a round
+    probs = np.array([0.125, 0.125, 0.125, 0.125, 0.25, 0.25])
+    cdf = np.concatenate([np.cumsum(probs[:4]), np.cumsum(probs[4:])])
+    first, last = np.array([0, 0, 4, 4]), np.array([3, 3, 5, 5])
+    u = np.array([0.375, 0.75, 0.25, 0.75])
+    want = [first[k] + support.searchsorted_pick(probs[first[k]:last[k] + 1], u[k])
+            for k in range(4)]
+    assert _bisect(cdf, first, last, u, 2).tolist() == want == [3, 3, 5, 5]
 
 
 def test_run_matches_scalar_play(terminating_corpus):
@@ -150,9 +174,9 @@ def test_run_matches_scalar_play_past_the_cdf_end():
                     [("r", "x"), ("r", "a"), ("r", "b"), ("r", "c"), ("x", "d"), ("x", "e")],
                     {lab: 2 for lab in "abcde"})
     rows = np.concatenate([np.full(4, 0.125), np.full(2, 0.25)])  # r's edges, then x's
-    profile = StrategyProfile(beta=1.0, chooser=rows, guesser=rows,
+    profile = StrategyProfile(solve(g), beta=1.0, chooser=rows, guesser=rows,
                               wagers=np.array([0.5, 0.5, 0, 0, 0, 0, 0]))
-    config = SimulationConfig(graph=g, profile=profile, start=0, replications=400, seed=5)
+    config = SimulationConfig(profile=profile, start=0, replications=400, seed=5)
     result = run(config)
     assert (result.terminal_nodes == g.index_of("e")).any()
     for rep in range(400):
@@ -366,7 +390,7 @@ def test_terminating_statistics_match_theory():
     g = build_graph(["1", "t"], [("1", "1"), ("1", "t")], {"t": 1})
     config, sol = optimal_config(g, replications=40000, seed=2)
     result = run(config)
-    stats = stopping_analysis(sol, g, t_max=200)
+    stats = stopping_analysis(sol, t_max=200)
     summary = result.summary()
     assert abs(summary["mean_stopping_time"] - stats.tau[0]) <= 3 * summary["se_stopping_time"]
     assert abs(summary["mean_fortune"] - sol.values[0]) <= 3 * summary["se_fortune"] + 1e-9
@@ -453,12 +477,13 @@ def test_censoring_warns_and_excludes():
     sol = solve(g)
     # hand-crafted chooser that never exits the loop
     sticky = StrategyProfile(
+        sol,
         beta=1.0,
         chooser=np.array([1.0, 0.0]),
         guesser=np.array([1.0, 0.0]),
         wagers=np.array([0.0, 0.0]),
     )
-    config = SimulationConfig(graph=g, profile=sticky, start=0, replications=50,
+    config = SimulationConfig(profile=sticky, start=0, replications=50,
                               max_steps=64, seed=1)
     result = run(config)
     assert result.censored.all()
@@ -468,27 +493,23 @@ def test_censoring_warns_and_excludes():
 
 def test_config_validation():
     g = fan([2, 4])
-    profile = build_profile(solve(g), g)
+    profile = build_profile(solve(g))
     with pytest.raises(ValueError):
-        SimulationConfig(graph=g, profile=profile, start=1, replications=10)  # terminal start
+        SimulationConfig(profile=profile, start=1, replications=10)  # terminal start
     with pytest.raises(ValueError):
-        SimulationConfig(graph=g, profile=profile, start=0, replications=0)
-    with pytest.raises(ValueError):
-        run(SimulationConfig(graph=build_window_game(2, 1),
-                             profile=build_profile(solve(build_window_game(2, 1)), build_window_game(2, 1)),
-                             start=0, replications=5, max_steps=10))  # missing discount
+        SimulationConfig(profile=profile, start=0, replications=0)
 
 
 def test_exploit_search_fan_equilibrium():
     g = fan([2, 4])
     sol = solve(g)
-    profile = build_profile(sol, g)
-    held_guesser = exploit_search(g, sol, fixed_side="guesser", profile=profile)
+    profile = build_profile(sol)
+    held_guesser = exploit_search(profile, fixed_side="guesser")
     # every pure chooser move yields exactly the harmonic-mean value
     assert held_guesser.gain <= 1e-12
     assert abs(held_guesser.values[0] - 8 / 3) < 1e-12
 
-    held_chooser = exploit_search(g, sol, fixed_side="chooser", profile=profile)
+    held_chooser = exploit_search(profile, fixed_side="chooser")
     assert held_chooser.values[0] <= 8 / 3 + 1e-12
     assert held_chooser.gain <= 1e-12
 
@@ -496,11 +517,11 @@ def test_exploit_search_fan_equilibrium():
 def test_exploit_search_detects_perturbed_chooser():
     g = fan([2, 4])
     sol = solve(g)
-    profile = build_profile(sol, g, beta=1.0)
+    profile = build_profile(sol, beta=1.0)
     skew = profile.chooser + np.array([0.01, -0.01])
-    bad = StrategyProfile(beta=1.0, chooser=skew / skew.sum(),
+    bad = StrategyProfile(sol, beta=1.0, chooser=skew / skew.sum(),
                           guesser=profile.guesser, wagers=profile.wagers)
-    report = exploit_search(g, sol, fixed_side="chooser", profile=bad)
+    report = exploit_search(bad, fixed_side="chooser")
     assert report.gain > 1e-4
 
 
@@ -511,8 +532,8 @@ def test_exploit_search_equilibrium_on_corpus(terminating_corpus):
         sol = solve(entry.graph)
         for beta in (0.0, 1.0):
             for side in ("chooser", "guesser"):
-                profile = build_profile(sol, entry.graph, beta=beta)
-                report = exploit_search(entry.graph, sol, fixed_side=side, profile=profile)
+                profile = build_profile(sol, beta=beta)
+                report = exploit_search(profile, fixed_side=side)
                 assert report.gain <= 1e-9, (entry.name, side, beta)
 
 
@@ -520,35 +541,17 @@ def test_exploit_search_requires_terminating():
     g = build_window_game(2, 1)
     sol = solve(g)
     with pytest.raises(Exception):
-        exploit_search(g, sol, fixed_side="chooser", profile=build_profile(sol, g))
-
-
-@pytest.mark.parametrize("side", ["guesser", "chooser"])
-def test_exploit_search_refuses_a_profile_from_another_graph(side):
-    g = build_stopping_variant(5)
-    other = build_stopping_variant(6)  # 12 edges against 10
-    profile = build_profile(solve(other), other)
-    with pytest.raises(ValueError, match="strategy profile does not match the graph"):
-        exploit_search(g, solve(g), fixed_side=side, profile=profile)
-
-
-def test_play_step_refuses_a_profile_from_another_graph():
-    g = build_stopping_variant(5)
-    other = build_stopping_variant(6)  # 12 edges against 10
-    profile = build_profile(solve(other), other)
-    with pytest.raises(ValueError, match="strategy profile does not match the graph"):
-        play_step(g, profile, 0, 1.0, StepRng(seed=1))
-    assert play_step(other, profile, 0, 1.0, StepRng(seed=1))[0] in other.successors[0]
+        exploit_search(build_profile(sol), fixed_side="chooser")
 
 
 @pytest.mark.parametrize("node", [-1, -2, 3])
 def test_out_of_range_nodes_are_refused(node):
     g = fan([2, 4])  # nodes 0..2
-    profile = build_profile(solve(g), g)
+    profile = build_profile(solve(g))
     with pytest.raises(ValueError, match=f"start node {node} is outside 0..2"):
-        SimulationConfig(graph=g, profile=profile, start=node, replications=5)
+        SimulationConfig(profile=profile, start=node, replications=5)
     with pytest.raises(ValueError, match=f"node {node} is outside 0..2"):
-        play_step(g, profile, node, 1.0, StepRng(seed=0))
+        play_step(profile, node, 1.0, StepRng(seed=0))
 
 
 def test_no_grid_wager_beats_the_best_reply():

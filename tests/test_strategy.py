@@ -16,6 +16,7 @@ from support import chooser_transition_matrix
 from pathwager import (
     GraphKind,
     StrategyError,
+    StrategyProfile,
     build_graph,
     build_propagation_matrix,
     build_stopping_variant,
@@ -35,7 +36,7 @@ def fan24():
 
 def test_min_risk_profile_on_fan24():
     g = fan24()
-    profile = build_profile(solve(g), g, beta=1.0)
+    profile = build_profile(solve(g), beta=1.0)
     assert np.allclose(profile.chooser, [2 / 3, 1 / 3])
     assert abs(profile.wagers[0] - 1 / 3) < 1e-12
     # critical wager: 1 - H / v_max
@@ -45,14 +46,14 @@ def test_min_risk_profile_on_fan24():
 
 def test_max_risk_profile_on_fan24():
     g = fan24()
-    profile = build_profile(solve(g), g, beta=0.0)
+    profile = build_profile(solve(g), beta=0.0)
     assert profile.wagers[0] == 1.0
     assert np.allclose(profile.guesser, profile.chooser)
 
 
 def test_intermediate_beta_on_fan24():
     g = fan24()
-    profile = build_profile(solve(g), g, beta=0.5)
+    profile = build_profile(solve(g), beta=0.5)
     assert abs(profile.wagers[0] - 2 / 3) < 1e-12
     # (n p_1 - 1 + w) / (n w) with p_1 = 2/3, w = 2/3
     assert abs(profile.guesser[0] - 3 / 4) < 1e-12
@@ -60,7 +61,7 @@ def test_intermediate_beta_on_fan24():
 
 def test_window_game_min_risk_closed_form():
     g = build_window_game(2, 1)
-    rows = support.node_rows(g, build_profile(solve(g), g, beta=1.0))
+    rows = support.node_rows(build_profile(solve(g), beta=1.0))
     assert abs(rows.chooser[0][0] - 1 / PHI) < 1e-10
     assert abs(rows.chooser[0][1] - 1 / PHI**2) < 1e-10
     assert np.allclose(rows.guesser[0], [1.0, 0.0], atol=1e-12)
@@ -74,7 +75,7 @@ def test_beta_family_identities(corpus):
     for entry in corpus:
         sol = solve(entry.graph)
         for beta in BETAS:
-            profile = support.node_rows(entry.graph, build_profile(sol, entry.graph, beta=beta))
+            profile = support.node_rows(build_profile(sol, beta=beta))
             for i in entry.graph.nonterminals:
                 p = profile.chooser[i]
                 g = profile.guesser[i]
@@ -95,7 +96,7 @@ def test_beta_family_identities(corpus):
 def test_beta_one_excludes_least_likely(corpus):
     for entry in corpus:
         sol = solve(entry.graph)
-        profile = support.node_rows(entry.graph, build_profile(sol, entry.graph, beta=1.0))
+        profile = support.node_rows(build_profile(sol, beta=1.0))
         for i in entry.graph.nonterminals:
             p = profile.chooser[i]
             if len(p) == 1 or profile.wagers[i] == 0.0:
@@ -108,7 +109,7 @@ def test_beta_one_excludes_least_likely(corpus):
 def test_min_risk_profile_with_tiny_wagers(n):
     # smallest wagers about 9.5e-7 (n = 20) and 9.3e-10 (n = 30)
     g = build_stopping_variant(n)
-    profile = support.node_rows(g, build_profile(solve(g), g, beta=1.0))
+    profile = support.node_rows(build_profile(solve(g), beta=1.0))
     assert 0.0 < min(w for w in profile.wagers.values()) < 1e-6
     for i in g.nonterminals:
         p, guess, w = profile.chooser[i], profile.guesser[i], profile.wagers[i]
@@ -121,7 +122,7 @@ def test_min_risk_profile_with_tiny_wagers(n):
 def test_beta_zero_full_wager(corpus):
     for entry in corpus[:20]:
         sol = solve(entry.graph)
-        profile = support.node_rows(entry.graph, build_profile(sol, entry.graph, beta=0.0))
+        profile = support.node_rows(build_profile(sol, beta=0.0))
         for i in entry.graph.nonterminals:
             assert profile.wagers[i] == 1.0
             assert np.allclose(profile.guesser[i], profile.chooser[i], atol=1e-15)
@@ -129,7 +130,7 @@ def test_beta_zero_full_wager(corpus):
 
 def test_zero_wager_uniform_guess():
     g = build_graph(["root", "a", "b"], [("root", "a"), ("root", "b")], {"a": 1, "b": 1})
-    profile = build_profile(solve(g), g, beta=1.0)
+    profile = build_profile(solve(g), beta=1.0)
     assert profile.wagers[0] == 0.0
     assert np.allclose(profile.guesser, [0.5, 0.5])
 
@@ -138,15 +139,25 @@ def test_build_profile_validates():
     g = fan24()
     sol = solve(g)
     with pytest.raises(StrategyError):
-        build_profile(sol, g, beta=1.5)
-    other = build_graph(["r", "x"], [("r", "x")], {"x": 1})
-    with pytest.raises(StrategyError):
-        build_profile(sol, other, beta=1.0)
+        build_profile(sol, beta=1.5)
+
+
+def test_a_profile_refuses_arrays_that_do_not_fit_its_graph():
+    sol = solve(build_stopping_variant(5))  # 10 edges, 6 nodes
+    other = build_profile(solve(build_stopping_variant(6)))  # 12 edges, 7 nodes
+    fits = build_profile(sol)
+    arrays = fits.chooser, fits.guesser, fits.wagers
+    for k, wrong in enumerate((other.chooser, other.guesser, other.wagers)):
+        bad = list(arrays)
+        bad[k] = wrong
+        with pytest.raises(StrategyError, match="needs 10 edge and 6 node entries"):
+            StrategyProfile(sol, 1.0, *bad)
+    assert StrategyProfile(sol, 1.0, *arrays).graph is sol.graph
 
 
 def test_guess_rows_paths():
     g = fan24()
-    profile = build_profile(solve(g), g, beta=0.5)
+    profile = build_profile(solve(g), beta=0.5)
     # the root's guess row lies on the simplex, so clamping leaves it as it is
     row = profile.guesser[g.edge_offsets[0]:g.edge_offsets[1]]
     clamped = np.clip(row, 0.0, 1.0)
@@ -157,13 +168,13 @@ def test_guess_rows_paths():
     # gives the root p = (-1, 2) and, at beta = 1/2, the guess (-1/4, 5/4)
     bad = types.SimpleNamespace(graph=g, reciprocals=np.array([1.0, -1.0, 2.0]))
     with pytest.raises(StrategyError):
-        build_profile(bad, g, beta=0.5)
+        build_profile(bad, beta=0.5)
 
 
 def test_transition_matrix_terminating(corpus):
     for entry in corpus:
         sol = solve(entry.graph)
-        p = chooser_transition_matrix(sol, entry.graph)
+        p = chooser_transition_matrix(sol)
         assert np.abs(p.sum(axis=1) - 1).max() <= 1e-12, entry.name
         # positivity pattern: P_ij > 0 iff i -> j (terminals absorb)
         for i in range(entry.graph.num_nodes):
@@ -180,8 +191,8 @@ def test_transition_matrix_terminating(corpus):
 def test_transition_matrix_agrees_with_profile(corpus):
     for entry in corpus[:25]:
         sol = solve(entry.graph)
-        p = chooser_transition_matrix(sol, entry.graph)
-        profile = build_profile(sol, entry.graph)
+        p = chooser_transition_matrix(sol)
+        profile = build_profile(sol)
         for e, (i, j) in enumerate(entry.graph.edges()):
             assert abs(p[i, j] - profile.chooser[e]) <= 1e-12, entry.name
 
@@ -191,7 +202,7 @@ def test_transition_equals_propagation_when_fair():
         ["p", "q", "r"],
         [("p", "q"), ("p", "r"), ("q", "p"), ("q", "r"), ("r", "p"), ("r", "q")], {})
     sol = solve(g)
-    p = chooser_transition_matrix(sol, g)
+    p = chooser_transition_matrix(sol)
     m = build_propagation_matrix(g).matrix
     assert np.abs(p - m).max() <= 1e-12
 
@@ -203,7 +214,7 @@ def test_one_step_fortune_multiplier_identity(corpus):
         sol = solve(entry.graph)
         scale = 1.0 if sol.spectral is None else 1.0 / sol.spectral.radius
         for beta in (0.0, 0.5, 1.0):
-            profile = support.node_rows(entry.graph, build_profile(sol, entry.graph, beta=beta))
+            profile = support.node_rows(build_profile(sol, beta=beta))
             for i in entry.graph.nonterminals:
                 succ = entry.graph.successors[i]
                 n = len(succ)

@@ -52,7 +52,7 @@ def fan_root_and_mix(leaf_values, exact=False):
     if exact:
         recips = [1 / v for v in sol.exact_values[1:]]
         return sol.exact_values[0], tuple(r / sum(recips) for r in recips)
-    return sol.values[0], tuple(build_profile(sol, g).chooser.tolist())
+    return sol.values[0], tuple(build_profile(sol).chooser.tolist())
 
 
 def test_solve_fan_closed_forms():
@@ -550,33 +550,52 @@ def test_solve_dispatch_and_unsupported():
 
 def test_truncated_values_terminating():
     fan = build_graph(["root", "a", "b"], [("root", "a"), ("root", "b")], {"a": 2, "b": 4})
-    series = _truncation_series(solve(fan), 3)
+    residuals = _truncation_series(solve(fan), 3)
     sol = solve(fan)
     # s = 0 starts from ones on non-terminals
-    assert series.vectors[0][0] == 1.0
-    assert series.residuals[0] == abs(1.0 - sol.reciprocals[0])
+    assert residuals[0] == abs(1.0 - sol.reciprocals[0])
     # a fan converges in one step exactly
-    assert series.residuals[1] == 0.0
-    assert series.residuals[3] == 0.0
+    assert residuals[1] == 0.0
+    assert residuals[3] == 0.0
 
 
 def test_truncated_values_sc_converges():
     g = build_window_game(2, 1)
-    series = _truncation_series(solve(g), 64)
-    assert series.residuals[64] < 1e-9
+    assert _truncation_series(solve(g), 64)[64] < 1e-9
 
 
 def test_truncation_residuals_settle(corpus):
     # monotone decay after a short transient, until the float noise floor
     noise_floor = 1e-9
     for entry in corpus:
-        series = _truncation_series(solve(entry.graph), 220)
-        res = series.residuals
+        res = _truncation_series(solve(entry.graph), 220)
         assert res[200] < 1e-8, entry.name
         for s in range(25, 219):
             if res[s] <= noise_floor and res[s + 1] <= noise_floor:
                 continue
             assert res[s + 1] <= res[s] * 1.001 + 1e-15, (entry.name, s)
+
+
+def test_truncation_residuals_are_the_stacked_series_bit_for_bit(corpus):
+    graphs = [e.graph for e in corpus] + [build_window_game(12, 3), build_stopping_variant(30)]
+    for g in graphs:
+        sol = solve(g)
+        got, want = _truncation_series(sol, 300), support.stacked_truncation_residuals(sol, 300)
+        assert got.tobytes() == want.tobytes(), g.labels[:3]
+
+
+def test_truncation_series_holds_one_vector_at_a_time():
+    # stacking all S + 1 vectors would take some 3 (S + 1) N 8 bytes, 10.6 MB here
+    g = build_window_game(12, 3)
+    sol, steps = solve(g), 2000
+    _truncation_series(sol, 1)  # the edge table's arrays are cached before tracing
+    tracemalloc.start()
+    try:
+        _truncation_series(sol, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (steps + 1) + 16 * 8 * (g.num_nodes + int(g.edge_offsets[-1])), peak
 
 
 def test_solution_serialization_roundtrip():
@@ -621,8 +640,8 @@ def test_both_dense_block_builders_share_one_budget(monkeypatch):
     needed = 4 * 60**2 * 8
     monkeypatch.setattr(values, "DENSE_BUDGET_BYTES", needed)
     sol = solve(g)
-    stopping_analysis(sol, g, t_max=10)
+    stopping_analysis(sol, t_max=10)
     monkeypatch.setattr(values, "DENSE_BUDGET_BYTES", needed - 1)
-    for call in (lambda: solve(g), lambda: stopping_analysis(sol, g, t_max=10)):
+    for call in (lambda: solve(g), lambda: stopping_analysis(sol, t_max=10)):
         with pytest.raises(UnsupportedGraphError, match=f"of 60 nodes needs {needed} bytes"):
             call()

@@ -38,12 +38,12 @@ def fan24():
 def assert_fan_certified(g, sol, beta, name=None):
     """``certify_graph`` passes the fan at ``beta`` with no gain on either
     side, and every chooser move at the root earns the root's value."""
-    cert = certify_graph(g, sol, betas=(beta,))
+    cert = certify_graph(sol, betas=(beta,))
     assert cert.passed, (name, beta)
     assert cert.max_chooser_gain <= 1e-12, (name, beta)
     assert cert.max_guesser_gain <= 1e-12, (name, beta)
     root = g.nonterminals[0]  # the root owns every edge of a fan
-    profile = build_profile(sol, g, beta=beta)
+    profile = build_profile(sol, beta=beta)
     leaves = np.array([g.values[j] for j in g.successors[root]])
     per_move = _move_payoffs(profile.guesser, float(profile.wagers[root]), leaves)
     assert np.abs(per_move - sol.values[root]).max() <= 1e-9, (name, beta)
@@ -61,12 +61,13 @@ def test_certify_fan_flags_bad_wager():
     # only 4 * (1 - 0.9) = 0.4, far below the value
     g = fan24()
     bad = StrategyProfile(
+        solve(g),
         beta=1.0,
         chooser=np.array([2 / 3, 1 / 3]),
         guesser=np.array([1.0, 0.0]),
         wagers=np.array([0.9, 0.0, 0.0]),
     )
-    report = exploit_search(g, solve(g), fixed_side="guesser", profile=bad)
+    report = exploit_search(bad, fixed_side="guesser")
     assert report.gain > 2.0
     assert report.deviation[0] == g.index_of("b")
     assert abs(report.values[0] - 0.4) < 1e-12
@@ -109,7 +110,7 @@ def test_perturbation_sensitivity_on_fans(fan_corpus):
         if len(set(leaf_values)) < 2:
             continue
         sol = solve(g)
-        base = build_profile(sol, g, beta=1.0)
+        base = build_profile(sol, beta=1.0)
         for pos in range(len(leaf_values)):
             for delta in (0.01, -0.01):
                 skew = base.chooser.copy()  # the root's row: a fan's every edge
@@ -117,9 +118,9 @@ def test_perturbation_sensitivity_on_fans(fan_corpus):
                     continue
                 skew[pos] += delta
                 skew /= skew.sum()
-                bad = StrategyProfile(beta=1.0, chooser=skew,
+                bad = StrategyProfile(sol, beta=1.0, chooser=skew,
                                       guesser=base.guesser, wagers=base.wagers)
-                report = exploit_search(g, sol, fixed_side="chooser", profile=bad)
+                report = exploit_search(bad, fixed_side="chooser")
                 assert report.gain > 1e-4, (entry.name, pos, delta)
 
 
@@ -209,7 +210,7 @@ def test_audit_convergence_across_corpus(corpus):
 def test_certify_graph_composite(terminating_corpus, sc_corpus):
     for entry in terminating_corpus[:6] + sc_corpus[:3]:
         sol = solve(entry.graph)
-        cert = certify_graph(entry.graph, sol, depth=40)
+        cert = certify_graph(sol, depth=40)
         assert cert.passed, entry.name
         doc = cert.to_dict()
         assert doc["passed"] and doc["checks"]
@@ -226,7 +227,7 @@ def test_certify_graph_reuses_the_solution(monkeypatch):
         with monkeypatch.context() as patch:
             for name in solvers:
                 patch.setattr(pathwager.values, name, refuse)
-            assert certify_graph(g, sol).passed
+            assert certify_graph(sol).passed
 
 
 def test_traced_audit_is_a_span_inside_certify_graph():
@@ -238,8 +239,8 @@ def test_traced_audit_is_a_span_inside_certify_graph():
     tracer.install()
     try:
         since = tracer.mark()
-        for g, sol in zip(graphs, solutions):
-            assert pathwager.verify.certify_graph(g, sol).passed
+        for sol in solutions:
+            assert pathwager.verify.certify_graph(sol).passed
     finally:
         tracer.uninstall()
     assert tracer.layer_metrics(since)["verify.audit_s"][0] > 0
@@ -254,15 +255,35 @@ def test_certify_graph_builds_one_profile_per_beta(monkeypatch):
     sol = solve(g)
     betas = []
 
-    def counting(solution, graph, beta=1.0):
+    def counting(solution, beta=1.0):
         betas.append(beta)
-        return build_profile(solution, graph, beta=beta)
+        return build_profile(solution, beta=beta)
 
     monkeypatch.setattr(pathwager.verify, "build_profile", counting)
-    cert = certify_graph(g, sol, betas=(0.0, 0.5, 1.0))
+    cert = certify_graph(sol, betas=(0.0, 0.5, 1.0))
     assert betas == [0.0, 0.5, 1.0] and cert.passed
     deviations = [c for c in cert.checks if c.name.startswith("no_profitable_deviation")]
     assert [c.detail["converged"] for c in deviations] == [True] * 3
+
+
+@pytest.mark.parametrize("betas", [(0.0, 0.5, 1.0), (1.0,), (0.25, 0.75)])
+def test_certify_graph_runs_the_guesser_search_once(monkeypatch, betas):
+    # the chooser's mix is the same at every beta, so the search against it
+    # runs once and its report serves every beta's check
+    g = build_stopping_variant(6)
+    sol = solve(g)
+    sides = []
+
+    def counting(profile, fixed_side):
+        sides.append(fixed_side)
+        return exploit_search(profile, fixed_side=fixed_side)
+
+    monkeypatch.setattr(pathwager.verify, "exploit_search", counting)
+    cert = certify_graph(sol, betas=betas)
+    assert sorted(sides) == ["chooser"] + ["guesser"] * len(betas) and cert.passed
+    for beta, check in zip(betas, cert.checks[1:]):
+        per_beta = exploit_search(build_profile(sol, beta=beta), fixed_side="chooser")
+        assert check.detail["guesser_gain"] == per_beta.gain and per_beta.converged
 
 
 @pytest.mark.parametrize("stuck", ["guesser", "chooser"])
@@ -270,14 +291,14 @@ def test_certify_graph_fails_an_unconverged_search(monkeypatch, stuck):
     g = build_stopping_variant(6)
     sol = solve(g)
 
-    def unconverged(graph, solution, fixed_side, **kwargs):
-        report = exploit_search(graph, solution, fixed_side, **kwargs)
+    def unconverged(profile, fixed_side):
+        report = exploit_search(profile, fixed_side=fixed_side)
         assert report.converged and report.gain <= 1e-9
         report.converged = fixed_side != stuck
         return report
 
     monkeypatch.setattr(pathwager.verify, "exploit_search", unconverged)
-    cert = certify_graph(g, sol, betas=(0.5,))
+    cert = certify_graph(sol, betas=(0.5,))
     check = next(c for c in cert.checks if c.name == "no_profitable_deviation_beta_0.5")
     assert not check.passed and check.detail["converged"] is False
     assert not cert.passed and cert.max_chooser_gain <= 1e-9 and cert.max_guesser_gain <= 1e-9
@@ -482,7 +503,7 @@ def test_audit_over_its_memory_budget_fails_without_building_arrays(monkeypatch,
         patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", needed - 1)
         patch.setattr(pathwager.verify, "_matrix_power", refuse)
         patch.setattr(pathwager.verify, "build_propagation_matrix", refuse)
-        cert = certify_graph(g, solve(g))
+        cert = certify_graph(solve(g))
         check = cert.checks[0]
         assert check.name == "power_audit_not_run" and not check.passed
         assert check.detail == {"bytes_needed": needed, "budget_bytes": needed - 1}
@@ -500,7 +521,7 @@ def test_audit_over_its_memory_budget_fails_without_building_arrays(monkeypatch,
         patch.setattr(pathwager.verify, "AUDIT_BUDGET_BYTES", 1)
         patch.setattr(pathwager.verify, "_matrix_power", refuse)
         patch.setattr(pathwager.verify, "build_propagation_matrix", refuse)
-        cert = certify_graph(g, solve(g))
+        cert = certify_graph(solve(g))
         assert cert.passed
         assert [c.name for c in cert.checks[:2]] == ["power_limit_absorbing",
                                                      "no_profitable_deviation_beta_0"]
@@ -531,12 +552,12 @@ def test_bracket_reports_whether_it_closed(terminating_corpus):
     # term_13 has 4 nodes and self-loops; its bracket is 7.3e-3 wide after 60 sweeps
     g = next(e.graph for e in terminating_corpus if e.name == "term_13")
     assert g.num_nodes <= 8 and any(map(g.is_cyclic, g.components))
-    cert = certify_graph(g, solve(g), depth=60)
+    cert = certify_graph(solve(g), depth=60)
     check = next(c for c in cert.checks
                  if c.name == "backward_induction_brackets_contain_values")
     assert check.detail["converged"] is False and check.detail["max_width"] > 1e-3
     assert check.passed and cert.passed
-    check = next(c for c in certify_graph(fan24(), solve(fan24())).checks
+    check = next(c for c in certify_graph(solve(fan24())).checks
                  if c.name == "backward_induction_brackets_contain_values")
     assert check.detail["converged"] is True
 
@@ -551,9 +572,9 @@ def test_exact_best_replies_match_the_wager_grid(terminating_corpus):
         sol = solve(g)
         for beta in (0.0, 0.5, 1.0):
             for side in ("chooser", "guesser"):
-                profile = build_profile(sol, g, beta=beta)
-                report = exploit_search(g, sol, fixed_side=side, profile=profile)
-                values, gain, converged = support.grid_exploit_search(g, sol, side, beta)
+                profile = build_profile(sol, beta=beta)
+                report = exploit_search(profile, fixed_side=side)
+                values, gain, converged = support.grid_exploit_search(sol, side, beta)
                 where = (name, beta, side)
                 assert np.all(np.abs(report.values - values) <= 1e-15 * np.abs(values)), where
                 assert abs(report.gain - gain) <= 1e-13, where
